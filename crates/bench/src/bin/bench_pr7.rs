@@ -18,8 +18,7 @@
 //! simulated throughput going from 1 to 4 shards.
 
 use felim::serve::{
-    generate_trace, BulkService, LatencySummary, ServiceConfig, ServiceTier, Technology,
-    TraceSpec,
+    generate_trace, BulkService, LatencySummary, ServiceConfig, ServiceTier, TraceSpec,
 };
 use felim::arch::DriftSpec;
 use felim::telemetry;
@@ -80,24 +79,11 @@ fn trace_spec() -> TraceSpec {
 fn run_cell(shards: u32, batch_window: usize, tier: ServiceTier) -> Mode {
     let tier_label = tier.label();
     let config = ServiceConfig {
-        shards,
-        technology: Technology::Feram,
         tier,
-        shard_geometry: felim::arch::MemoryGeometry::tiny(),
         queue_depth: 64,
         batch_window,
-        tenant_batch_window: Vec::new(),
-        tenants: 4,
-        tenant_quota: None,
-        max_retries: 3,
-        retry_backoff_ticks: 4,
-        tick_s: 1e-3,
         seed: SEED,
-        kernel_scratch_rows: 64,
-        read_cache: true,
-        remote_shards: Vec::new(),
-        remote_connect_attempts: 5,
-        remote_connect_backoff_ms: 20,
+        ..ServiceConfig::small(shards)
     };
     let (vectors, events) = generate_trace(&trace_spec());
     let mut service = BulkService::new(config).expect("valid sweep config");
@@ -145,19 +131,19 @@ fn main() {
     );
     telemetry::reset();
 
-    let tiers: [(&str, fn() -> ServiceTier); 2] = [
-        ("baseline", || ServiceTier::Baseline),
-        ("protected", || ServiceTier::Protected {
+    let tiers = [
+        ServiceTier::Baseline,
+        ServiceTier::Protected {
             drift: DriftSpec::quiet(SEED),
             scrub_period_s: 1.0,
-        }),
+        },
     ];
     let mut modes: Vec<Mode> = Vec::new();
-    for (_, tier) in &tiers {
+    for tier in &tiers {
         for batch_window in [1usize, 8] {
             let mut group: Vec<Mode> = [1u32, 2, 4, 8]
                 .into_iter()
-                .map(|shards| run_cell(shards, batch_window, tier()))
+                .map(|shards| run_cell(shards, batch_window, tier.clone()))
                 .collect();
             let base_rps = group[0].throughput_rps;
             for m in &mut group {

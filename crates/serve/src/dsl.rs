@@ -180,6 +180,16 @@ impl<'a> ExprParser<'a> {
         }
     }
 
+    /// `expr`, which must run to the end of the source.
+    fn parse_to_end(&mut self) -> Result<Expr, KernelParseError> {
+        let expr = self.parse_or()?;
+        self.skip_ws();
+        if self.pos != self.src.len() {
+            return Err(self.err("trailing input after expression"));
+        }
+        Ok(expr)
+    }
+
     fn parse_ident(&mut self) -> String {
         self.skip_ws();
         let start = self.pos;
@@ -194,6 +204,31 @@ impl<'a> ExprParser<'a> {
             .expect("identifier bytes are ASCII")
             .to_owned()
     }
+}
+
+/// Parses one expression — the grammar's `expr` rule — spanning all of
+/// `input`, with the same parser kernel statements use for their
+/// right-hand sides. Other clients of the `| ^ & ~` grammar, such as
+/// bitmap-query predicates, parse through this.
+///
+/// ```
+/// use felim_serve::dsl::{parse_expr, Expr};
+///
+/// let e = parse_expr("a | !b").unwrap();
+/// assert!(matches!(e, Expr::Or(..)));
+/// assert_eq!(parse_expr("a &").unwrap_err().position, 3);
+/// ```
+///
+/// # Errors
+///
+/// A [`KernelParseError`] at the failing byte of `input`.
+pub fn parse_expr(input: &str) -> Result<Expr, KernelParseError> {
+    ExprParser {
+        src: input.as_bytes(),
+        base: 0,
+        pos: 0,
+    }
+    .parse_to_end()
 }
 
 impl Program {
@@ -256,11 +291,7 @@ impl Program {
         if p.bump() != Some(b'=') {
             return Err(p.err("expected `=` after target name"));
         }
-        let expr = p.parse_or()?;
-        p.skip_ws();
-        if p.pos != p.src.len() {
-            return Err(p.err("trailing input after expression"));
-        }
+        let expr = p.parse_to_end()?;
         Ok(Statement { target, expr })
     }
 

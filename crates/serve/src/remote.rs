@@ -15,16 +15,15 @@
 //!   the same typed [`ServeError::Transport`] instead (honest
 //!   backpressure, never silent drops).
 //! * [`ShardPool`] — the dispatch surface the service runs against: a
-//!   vector of members, each either a local `Mutex<Shard>` or a
-//!   `Mutex<RemoteShard>`. Both arms expose the same
-//!   `execute`/`read_local_row` calls, so [`BulkService`] settles
+//!   vector of [`ShardMember`]s behind one interface, implemented by
+//!   both [`Shard`] and [`RemoteShard`], so [`BulkService`] settles
 //!   responses identically whether a shard is in-process, across a
 //!   socket, or a mix (pinned by `tests/remote.rs`).
-//! * [`ShardHost`] + [`run_session`] — the daemon side: accept a
-//!   connection, build one fresh [`Shard`] per session from the Hello
-//!   parameters, answer batches until `Shutdown` or peer loss. One
-//!   shard per *connection* keeps the daemon state-safe: a new session
-//!   can never observe a previous client's rows.
+//! * [`ShardHost`] + [`run_session_mux`] — the daemon side: accept a
+//!   connection, build a fresh [`Shard`] at the slot its Hello names
+//!   (or resume the one there), answer batches until `Shutdown` or peer
+//!   loss. A fresh Hello always replaces the slot's occupant, so a new
+//!   session can never observe a previous client's rows.
 //! * [`ShardHostChild`] — test/bench helper that spawns a `felim-shardd`
 //!   child on an ephemeral loopback port, parses the advertised
 //!   address, and kills the daemon on drop so suites never leak
@@ -43,7 +42,7 @@ use felim_telemetry as telemetry;
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, BufWriter};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 /// Chunk size for snapshot transfer frames: large enough to amortise
@@ -294,6 +293,26 @@ impl RemoteShard {
         }
     }
 
+    /// Maintenance exchanges (row reads, snapshots, health polls) need
+    /// an idle pipeline: no batch reply may interleave with theirs.
+    fn require_idle(&self, what: &str) -> Result<(), ServeError> {
+        if self.inflight.is_empty() {
+            return Ok(());
+        }
+        Err(ServeError::Transport {
+            peer: self.peer.clone(),
+            kind: TransportErrorKind::Protocol,
+            detail: format!("{what} with {} batches in flight", self.inflight.len()),
+        })
+    }
+
+    /// The sequence number for the next request frame.
+    fn take_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
+    }
+
     fn write_frame(&mut self, frame: &Frame) -> Result<(), ServeError> {
         self.check_poison()?;
         frame
@@ -379,18 +398,8 @@ impl RemoteShard {
     /// [`ServeError::Transport`] for link failures,
     /// [`ServeError::Backend`] when the remote backend itself faulted.
     pub fn read_local_row(&mut self, row: u64) -> Result<Vec<u64>, ServeError> {
-        if !self.inflight.is_empty() {
-            return Err(ServeError::Transport {
-                peer: self.peer.clone(),
-                kind: TransportErrorKind::Protocol,
-                detail: format!(
-                    "read_local_row with {} batches in flight",
-                    self.inflight.len()
-                ),
-            });
-        }
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        self.require_idle("read_local_row")?;
+        let seq = self.take_seq();
         self.write_frame(&Frame::ReadRow { seq, row })?;
         match self.read_frame()? {
             Frame::ReadRowReply { seq: got, result } if got == seq => {
@@ -445,18 +454,11 @@ impl RemoteShard {
     /// [`ServeError::Transport`] on link failure, a non-chunk reply, or
     /// chunks that do not assemble into the advertised total.
     pub fn fetch_snapshot(&mut self) -> Result<Option<Vec<u8>>, ServeError> {
-        if !self.inflight.is_empty() {
-            return Err(ServeError::Transport {
-                peer: self.peer.clone(),
-                kind: TransportErrorKind::Protocol,
-                detail: format!("fetch_snapshot with {} batches in flight", self.inflight.len()),
-            });
-        }
+        self.require_idle("fetch_snapshot")?;
         let mut snapshot = Vec::new();
         loop {
             let offset = snapshot.len() as u64;
-            let seq = self.next_seq;
-            self.next_seq += 1;
+            let seq = self.take_seq();
             self.write_frame(&Frame::SnapshotPull {
                 seq,
                 offset,
@@ -506,20 +508,13 @@ impl RemoteShard {
     ///
     /// [`ServeError::Transport`] on link failure or a rejected chunk.
     pub fn push_snapshot(&mut self, snapshot: &[u8]) -> Result<bool, ServeError> {
-        if !self.inflight.is_empty() {
-            return Err(ServeError::Transport {
-                peer: self.peer.clone(),
-                kind: TransportErrorKind::Protocol,
-                detail: format!("push_snapshot with {} batches in flight", self.inflight.len()),
-            });
-        }
+        self.require_idle("push_snapshot")?;
         let total_len = snapshot.len() as u64;
         let mut offset = 0u64;
         loop {
             let end = (offset + SNAPSHOT_CHUNK_LEN).min(total_len);
             let chunk = &snapshot[offset as usize..end as usize];
-            let seq = self.next_seq;
-            self.next_seq += 1;
+            let seq = self.take_seq();
             self.write_frame(&Frame::SnapshotPush {
                 seq,
                 offset,
@@ -552,15 +547,8 @@ impl RemoteShard {
     ///
     /// [`ServeError::Transport`] on link failure or a non-health reply.
     pub fn health(&mut self) -> Result<ControllerHealth, ServeError> {
-        if !self.inflight.is_empty() {
-            return Err(ServeError::Transport {
-                peer: self.peer.clone(),
-                kind: TransportErrorKind::Protocol,
-                detail: format!("health poll with {} batches in flight", self.inflight.len()),
-            });
-        }
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        self.require_idle("health poll")?;
+        let seq = self.take_seq();
         self.write_frame(&Frame::Health { seq })?;
         match self.read_frame()? {
             Frame::HealthReply {
@@ -599,25 +587,146 @@ impl Drop for RemoteShard {
     }
 }
 
-/// One member of the service's shard pool.
-pub enum PoolMember {
-    /// An in-process shard, exactly as PR 7 built them.
-    Local(Mutex<Shard>),
-    /// A shard hosted behind a `felim-shardd` session. Boxed: a
-    /// session (stream + frame buffers + poison record) dwarfs the
-    /// `Local` variant, and pools mix both.
-    Remote(Mutex<Box<RemoteShard>>),
+/// One member of a [`ShardPool`]: the calls the service dispatches
+/// through, answered identically by an in-process [`Shard`] and by a
+/// [`RemoteShard`] session, so the pool never asks which one it holds.
+pub trait ShardMember: Send {
+    /// Executes one coalesced batch.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::Transport`] when a remote member's link failed;
+    /// local members are infallible at this layer (their per-op faults
+    /// ride inside the outcome).
+    fn execute(&mut self, ops: &[RowOp], tick_s: f64) -> Result<ShardBatchOutcome, ServeError>;
+
+    /// Maintenance read of one shard-local row.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::Backend`] for backend faults,
+    /// [`ServeError::Transport`] for remote link failures.
+    fn read_local_row(&mut self, row: u64) -> Result<Vec<u64>, ServeError>;
+
+    /// The member's complete state snapshot (remote: chunked over the
+    /// wire). `Ok(None)` when the backend cannot snapshot.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::Transport`] for remote link failures.
+    fn snapshot_state(&mut self) -> Result<Option<Vec<u8>>, ServeError>;
+
+    /// Restores the member from a snapshot (remote: chunked push,
+    /// restored atomically daemon-side). Returns whether the restore
+    /// succeeded.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::Transport`] for remote link failures.
+    fn restore_state(&mut self, snapshot: &[u8]) -> Result<bool, ServeError>;
+
+    /// The member's reliability-health counters.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::Transport`] for remote link failures.
+    fn health(&mut self) -> Result<ControllerHealth, ServeError>;
+
+    /// Data rows of the member (identical across a pool by
+    /// construction; validated by the service at build time).
+    fn data_rows(&self) -> u64;
+
+    /// Revives the member after a poisoning transport failure. A no-op
+    /// for local members — their state never left the process.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::Transport`] when a replacement connection fails.
+    fn revive(&mut self) -> Result<(), ServeError> {
+        Ok(())
+    }
+
+    /// Whether the member lives behind a `felim-shardd` session.
+    fn is_remote(&self) -> bool {
+        false
+    }
+}
+
+impl ShardMember for Shard {
+    fn execute(&mut self, ops: &[RowOp], tick_s: f64) -> Result<ShardBatchOutcome, ServeError> {
+        Ok(Shard::execute(self, ops, tick_s))
+    }
+
+    fn read_local_row(&mut self, row: u64) -> Result<Vec<u64>, ServeError> {
+        Shard::read_local_row(self, row).map_err(|source| ServeError::Backend { source })
+    }
+
+    fn snapshot_state(&mut self) -> Result<Option<Vec<u8>>, ServeError> {
+        Ok(Shard::snapshot_state(self))
+    }
+
+    fn restore_state(&mut self, snapshot: &[u8]) -> Result<bool, ServeError> {
+        Ok(Shard::restore_state(self, snapshot))
+    }
+
+    fn health(&mut self) -> Result<ControllerHealth, ServeError> {
+        Ok(Shard::health(self))
+    }
+
+    fn data_rows(&self) -> u64 {
+        Shard::data_rows(self)
+    }
+}
+
+impl ShardMember for RemoteShard {
+    fn execute(&mut self, ops: &[RowOp], tick_s: f64) -> Result<ShardBatchOutcome, ServeError> {
+        RemoteShard::execute(self, ops, tick_s)
+    }
+
+    fn read_local_row(&mut self, row: u64) -> Result<Vec<u64>, ServeError> {
+        RemoteShard::read_local_row(self, row)
+    }
+
+    fn snapshot_state(&mut self) -> Result<Option<Vec<u8>>, ServeError> {
+        self.fetch_snapshot()
+    }
+
+    fn restore_state(&mut self, snapshot: &[u8]) -> Result<bool, ServeError> {
+        self.push_snapshot(snapshot)
+    }
+
+    fn health(&mut self) -> Result<ControllerHealth, ServeError> {
+        RemoteShard::health(self)
+    }
+
+    fn data_rows(&self) -> u64 {
+        RemoteShard::data_rows(self)
+    }
+
+    /// Opens a **fresh replacement session** to the same address and
+    /// slot (the daemon constructs an empty shard there; the caller
+    /// restores state next). On failure the member stays poisoned and
+    /// can be revived again later.
+    fn revive(&mut self) -> Result<(), ServeError> {
+        let fresh = self.reconnect_fresh()?;
+        telemetry::counter("serve.replica.revivals").inc();
+        *self = fresh;
+        Ok(())
+    }
+
+    fn is_remote(&self) -> bool {
+        true
+    }
 }
 
 /// The dispatch surface [`BulkService`](crate::BulkService) runs
-/// against: an indexable pool whose members answer `execute` and
-/// `read_local_row` identically whether local or remote. Settlement
-/// order is (tick, shard, sequence) — the service reduces outcomes in
-/// shard-index order every tick and each remote link settles its
-/// replies in sequence order, so the response log is byte-identical for
-/// any local/remote mix.
+/// against: an indexable pool of [`ShardMember`]s, local or remote.
+/// Settlement order is (tick, shard, sequence) — the service reduces
+/// outcomes in shard-index order every tick and each remote link
+/// settles its replies in sequence order, so the response log is
+/// byte-identical for any local/remote mix.
 pub struct ShardPool {
-    members: Vec<PoolMember>,
+    members: Vec<Mutex<Box<dyn ShardMember>>>,
 }
 
 impl std::fmt::Debug for ShardPool {
@@ -631,8 +740,10 @@ impl std::fmt::Debug for ShardPool {
 
 impl ShardPool {
     /// Wraps the members into a pool.
-    pub fn new(members: Vec<PoolMember>) -> Self {
-        Self { members }
+    pub fn new(members: Vec<Box<dyn ShardMember>>) -> Self {
+        Self {
+            members: members.into_iter().map(Mutex::new).collect(),
+        }
     }
 
     /// Number of shards in the pool.
@@ -645,160 +756,19 @@ impl ShardPool {
         self.members.is_empty()
     }
 
+    /// Locks member `s` for one call. A lock poisoned by a panicking
+    /// caller is recovered, not propagated.
+    pub fn member(&self, s: usize) -> MutexGuard<'_, Box<dyn ShardMember>> {
+        self.members[s]
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     /// Number of remote members.
     pub fn remote_count(&self) -> usize {
-        self.members
-            .iter()
-            .filter(|m| matches!(m, PoolMember::Remote(_)))
+        (0..self.len())
+            .filter(|&s| self.member(s).is_remote())
             .count()
-    }
-
-    /// Is shard `s` remote?
-    pub fn is_remote(&self, s: usize) -> bool {
-        matches!(self.members[s], PoolMember::Remote(_))
-    }
-
-    /// Data rows of shard `s` (identical across members by
-    /// construction; validated by the service at build time).
-    pub fn data_rows(&self, s: usize) -> u64 {
-        match &self.members[s] {
-            PoolMember::Local(shard) => shard
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .data_rows(),
-            PoolMember::Remote(remote) => remote
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .data_rows(),
-        }
-    }
-
-    /// Executes one coalesced batch on shard `s`.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Transport`] when a remote member's link failed;
-    /// local members are infallible at this layer (their per-op faults
-    /// ride inside the outcome).
-    pub fn execute(
-        &self,
-        s: usize,
-        ops: &[RowOp],
-        tick_s: f64,
-    ) -> Result<ShardBatchOutcome, ServeError> {
-        match &self.members[s] {
-            PoolMember::Local(shard) => Ok(shard
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .execute(ops, tick_s)),
-            PoolMember::Remote(remote) => remote
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .execute(ops, tick_s),
-        }
-    }
-
-    /// Maintenance read of shard `s`'s local `row`.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Backend`] for backend faults,
-    /// [`ServeError::Transport`] for remote link failures.
-    pub fn read_local_row(&self, s: usize, row: u64) -> Result<Vec<u64>, ServeError> {
-        match &self.members[s] {
-            PoolMember::Local(shard) => shard
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .read_local_row(row)
-                .map_err(|source| ServeError::Backend { source }),
-            PoolMember::Remote(remote) => remote
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .read_local_row(row),
-        }
-    }
-
-    /// Pulls member `s`'s complete state snapshot (local: direct;
-    /// remote: chunked over the wire). `Ok(None)` when the backend
-    /// cannot snapshot.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Transport`] for remote link failures.
-    pub fn snapshot_state(&self, s: usize) -> Result<Option<Vec<u8>>, ServeError> {
-        match &self.members[s] {
-            PoolMember::Local(shard) => Ok(shard
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .snapshot_state()),
-            PoolMember::Remote(remote) => remote
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .fetch_snapshot(),
-        }
-    }
-
-    /// Restores member `s` from a snapshot (local: direct; remote:
-    /// chunked push, restored atomically daemon-side). Returns whether
-    /// the restore succeeded.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Transport`] for remote link failures.
-    pub fn restore_state(&self, s: usize, snapshot: &[u8]) -> Result<bool, ServeError> {
-        match &self.members[s] {
-            PoolMember::Local(shard) => Ok(shard
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .restore_state(snapshot)),
-            PoolMember::Remote(remote) => remote
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .push_snapshot(snapshot),
-        }
-    }
-
-    /// Polls member `s`'s reliability-health counters.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Transport`] for remote link failures.
-    pub fn health(&self, s: usize) -> Result<ControllerHealth, ServeError> {
-        match &self.members[s] {
-            PoolMember::Local(shard) => Ok(shard
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .health()),
-            PoolMember::Remote(remote) => remote
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .health(),
-        }
-    }
-
-    /// Revives member `s` after a poisoning transport failure by
-    /// opening a **fresh replacement session** to the same address and
-    /// slot (the daemon constructs an empty shard there; the caller
-    /// restores state next). A no-op for local members — their state
-    /// never left the process.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Transport`] when the replacement connection fails —
-    /// the member stays poisoned and can be revived again later.
-    pub fn revive(&self, s: usize) -> Result<(), ServeError> {
-        match &self.members[s] {
-            PoolMember::Local(_) => Ok(()),
-            PoolMember::Remote(remote) => {
-                let mut guard = remote
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                let fresh = guard.reconnect_fresh()?;
-                telemetry::counter("serve.replica.revivals").inc();
-                **guard = fresh;
-                Ok(())
-            }
-        }
     }
 }
 
@@ -866,17 +836,6 @@ impl ShardHost {
             std::thread::spawn(move || run_session_mux(stream, &registry));
         }
     }
-}
-
-/// Serves one client session against a **private** registry — the
-/// pre-multiplexing behaviour: the session's shard is built fresh from
-/// the Hello parameters and dropped when the session ends, so no client
-/// can observe another's rows. Kept for in-process tests that serve one
-/// session at a time; daemons use [`run_session_mux`] with a shared
-/// registry.
-pub fn run_session(stream: TcpStream) {
-    let registry: SlotRegistry = Arc::new(Mutex::new(HashMap::new()));
-    run_session_mux(stream, &registry);
 }
 
 /// Serves one client session: Hello → slot lookup/construction → batch
@@ -1339,14 +1298,14 @@ mod tests {
         )
         .unwrap();
         let pool = ShardPool::new(vec![
-            PoolMember::Local(Mutex::new(Shard::new(Technology::Feram, geometry, None))),
-            PoolMember::Remote(Mutex::new(Box::new(remote))),
+            Box::new(Shard::new(Technology::Feram, geometry, None)),
+            Box::new(remote),
         ]);
         assert_eq!(pool.len(), 2);
         assert_eq!(pool.remote_count(), 1);
-        assert!(!pool.is_remote(0));
-        assert!(pool.is_remote(1));
-        assert_eq!(pool.data_rows(0), pool.data_rows(1));
+        assert!(!pool.member(0).is_remote());
+        assert!(pool.member(1).is_remote());
+        assert_eq!(pool.member(0).data_rows(), pool.member(1).data_rows());
         let ops = vec![
             RowOp::Write {
                 row: RowId(0),
@@ -1354,12 +1313,12 @@ mod tests {
             },
             RowOp::Read { row: RowId(0) },
         ];
-        let a = pool.execute(0, &ops, 1e-3).unwrap();
-        let b = pool.execute(1, &ops, 1e-3).unwrap();
+        let a = pool.member(0).execute(&ops, 1e-3).unwrap();
+        let b = pool.member(1).execute(&ops, 1e-3).unwrap();
         assert_eq!(a, b, "local and remote members must agree bit-for-bit");
         assert_eq!(
-            pool.read_local_row(0, 0).unwrap(),
-            pool.read_local_row(1, 0).unwrap()
+            pool.member(0).read_local_row(0).unwrap(),
+            pool.member(1).read_local_row(0).unwrap()
         );
         drop(pool);
         handle.join().unwrap();

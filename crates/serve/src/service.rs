@@ -38,7 +38,7 @@
 use crate::catalog::Catalog;
 use crate::dsl::Program;
 use crate::plan::KernelPlan;
-use crate::remote::{ConnectRetry, PoolMember, RemoteShard, ShardPool};
+use crate::remote::{ConnectRetry, RemoteShard, ShardMember, ShardPool};
 use crate::replica::{ReplicaManager, ReplicaStats, ReplicationConfig};
 use crate::request::{
     fnv1a_words, LogicalOp, RequestId, ResponsePayload, ServeResponse, TenantId,
@@ -55,7 +55,7 @@ use felim_exec::{derive_seed, fnv1a_str, ExecPool};
 use felim_telemetry as telemetry;
 use serde::Serialize;
 use std::collections::{HashMap, VecDeque};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Reliability tier the shard pool runs at.
@@ -197,13 +197,15 @@ impl ServiceConfig {
             .unwrap_or_else(|| (self.queue_depth / self.tenants.max(1) as usize).max(1))
     }
 
-    /// The batch window governing `tenant`'s requests (its override, or
-    /// the global `batch_window`).
-    pub fn window_for(&self, tenant: TenantId) -> usize {
+    /// The batch window governing `tenant`'s requests: its override, or
+    /// `default_window` — the global `batch_window`, or the auto-tuned
+    /// window when [`adaptive_batch_window`](Self::adaptive_batch_window)
+    /// is on.
+    pub fn window_for(&self, tenant: TenantId, default_window: usize) -> usize {
         self.tenant_batch_window
             .iter()
             .find(|&&(t, _)| t == tenant.0)
-            .map_or(self.batch_window, |&(_, w)| w)
+            .map_or(default_window, |&(_, w)| w)
     }
 }
 
@@ -393,6 +395,10 @@ pub struct BulkService {
 /// (dst, src) binding list it was compiled against.
 type PlanKey = (u64, Vec<(String, String)>);
 
+/// One request's `(start, count)` run in each stripe's batch, in stripe
+/// order.
+type Spans = Vec<(usize, usize)>;
+
 impl std::fmt::Debug for BulkService {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BulkService")
@@ -427,6 +433,9 @@ impl BulkService {
         }
         if config.queue_depth == 0 {
             return invalid("need a non-empty queue");
+        }
+        if !config.tick_s.is_finite() || config.tick_s < 0.0 {
+            return invalid("tick_s must be finite and non-negative");
         }
         for &(tenant, window) in &config.tenant_batch_window {
             if tenant >= config.tenants {
@@ -504,7 +513,7 @@ impl BulkService {
         // replica) member indices coincide with stripe indices and
         // nothing downstream changes.
         let replica_count = 1 + config.replication.as_ref().map_or(0, |r| r.standbys) as usize;
-        let mut members: Vec<PoolMember> =
+        let mut members: Vec<Box<dyn ShardMember>> =
             Vec::with_capacity(replica_count * config.shards as usize);
         for r in 0..replica_count {
             for i in 0..config.shards {
@@ -533,12 +542,8 @@ impl BulkService {
                             .map(|(_, _, a)| a)
                     })
                 };
-                let member = match addr {
-                    None => PoolMember::Local(Mutex::new(Shard::new(
-                        config.technology,
-                        config.shard_geometry,
-                        tier,
-                    ))),
+                let member: Box<dyn ShardMember> = match addr {
+                    None => Box::new(Shard::new(config.technology, config.shard_geometry, tier)),
                     Some(addr) => {
                         // The session slot is the member's pool index,
                         // so one daemon can host any mix of primaries
@@ -553,21 +558,21 @@ impl BulkService {
                             slot,
                             false,
                         )
-                        .map(|rs| PoolMember::Remote(Mutex::new(Box::new(rs))))?
+                        .map(Box::new)?
                     }
                 };
                 members.push(member);
             }
         }
         let shards = ShardPool::new(members);
-        let data_rows = shards.data_rows(0);
-        for s in 1..replica_count * config.shards as usize {
-            if shards.data_rows(s) != data_rows {
+        let data_rows = shards.member(0).data_rows();
+        for s in 1..shards.len() {
+            let rows = shards.member(s).data_rows();
+            if rows != data_rows {
                 return Err(ServeError::InvalidConfig {
                     message: format!(
-                        "pool member#{s} reports {} data rows, member#0 reports {data_rows} — \
-                         a remote host was built with different parameters",
-                        shards.data_rows(s)
+                        "pool member#{s} reports {rows} data rows, member#0 reports {data_rows} — \
+                         a remote host was built with different parameters"
                     ),
                 });
             }
@@ -688,29 +693,31 @@ impl BulkService {
         self.stats.submitted += 1;
         telemetry::counter("serve.submitted").inc();
 
-        match self.admit(tenant, &op) {
-            Ok((involved, plan)) => {
-                for &s in &involved {
+        let mut req = PendingRequest {
+            id,
+            tenant,
+            op,
+            deadline: None,
+            submitted_tick: self.now,
+            submit_cycles: self.sim_cycles,
+            attempts: 0,
+            not_before: self.now,
+            involved: Vec::new(),
+            plan: None,
+            cached_digest: None,
+            cache_fill: false,
+        };
+        match self.admit(&mut req) {
+            Ok(()) => {
+                for &s in &req.involved {
                     let depth = &mut self.queued_per_shard[s as usize];
                     *depth += 1;
                     let load = &mut self.shard_load[s as usize];
                     load.max_queue_depth = load.max_queue_depth.max(*depth);
                 }
                 self.queued_per_tenant[tenant.0 as usize] += 1;
-                self.pending.push_back(PendingRequest {
-                    id,
-                    tenant,
-                    op,
-                    deadline: deadline_ticks.map(|d| self.now + d),
-                    submitted_tick: self.now,
-                    submit_cycles: self.sim_cycles,
-                    attempts: 0,
-                    not_before: self.now,
-                    involved,
-                    plan,
-                    cached_digest: None,
-                    cache_fill: false,
-                });
+                req.deadline = deadline_ticks.map(|d| self.now + d);
+                self.pending.push_back(req);
                 Ok(id)
             }
             Err(err) => {
@@ -728,53 +735,66 @@ impl BulkService {
                         telemetry::counter("serve.rejected.invalid").inc();
                     }
                 }
-                self.responses.push(ServeResponse {
-                    request: id,
-                    tenant,
-                    op: op.mnemonic(),
-                    outcome: Err(err.clone()),
-                    submitted_tick: self.now,
-                    completed_tick: self.now,
-                    latency_cycles: 0,
-                    retries: 0,
-                });
+                self.respond(&req, Err(err.clone()));
                 Err(err)
             }
         }
     }
 
-    /// Validates a submission and returns the shards it will occupy,
-    /// plus the compiled plan for kernel requests (`&mut self` only to
-    /// feed the plan cache).
-    #[allow(clippy::type_complexity)]
-    fn admit(
-        &mut self,
-        tenant: TenantId,
-        op: &LogicalOp,
-    ) -> Result<(Vec<u32>, Option<Arc<KernelPlan>>), ServeError> {
+    /// Admission control for a submission: validates it, [`plan`]s it
+    /// (filling `req.plan` and `req.involved`), then applies the tenant
+    /// quota and per-shard queue bounds. Changes no queue state.
+    ///
+    /// [`plan`]: Self::plan
+    fn admit(&mut self, req: &mut PendingRequest) -> Result<(), ServeError> {
+        let tenant = req.tenant;
         if tenant.0 >= self.config.tenants {
             return Err(ServeError::UnknownTenant {
                 tenant,
                 tenants: self.config.tenants,
             });
         }
-        if let LogicalOp::Write { words, .. } = op {
+        if let LogicalOp::Write { words, .. } = &req.op {
             if words.is_empty() {
                 return Err(ServeError::EmptyPattern);
             }
         }
+        self.plan(req)?;
+        if self.queued_per_tenant[tenant.0 as usize] >= self.config.quota() {
+            return Err(ServeError::QuotaExceeded {
+                tenant,
+                queued: self.queued_per_tenant[tenant.0 as usize],
+                quota: self.config.quota(),
+            });
+        }
+        for &s in &req.involved {
+            if self.queued_per_shard[s as usize] >= self.config.queue_depth {
+                return Err(ServeError::Overloaded {
+                    shard: ShardId(s),
+                    depth: self.queued_per_shard[s as usize],
+                });
+            }
+        }
+        Ok(())
+    }
+
+    /// Plans a submission: compiles a `Kernel` op (through the plan
+    /// cache), checks the vectors it names agree in shape and that the
+    /// kernel fits the scratch budget, and records the shards it will
+    /// occupy.
+    fn plan(&mut self, req: &mut PendingRequest) -> Result<(), ServeError> {
         // Kernels parse and plan at admission, before any queue state
         // changes: a malformed program is rejected atomically, and the
         // compiled plan rides with the request so dispatch just stamps
         // it out per shard. Compilation is deterministic, so a plan
         // keyed on (program digest, bindings) is reusable verbatim —
         // repeated submissions of the same kernel skip the compiler.
-        let plan = if let LogicalOp::Kernel { program, bindings } = op {
+        if let LogicalOp::Kernel { program, bindings } = &req.op {
             let key = (fnv1a_str(program), bindings.clone());
             if let Some(cached) = self.plan_cache.get(&key) {
                 self.stats.plan_cache_hits += 1;
                 telemetry::counter("serve.kernel.plan_cache_hits").inc();
-                Some(Arc::clone(cached))
+                req.plan = Some(Arc::clone(cached));
             } else {
                 let parsed = Program::parse(program).map_err(|e| ServeError::KernelParse {
                     position: e.position,
@@ -786,12 +806,10 @@ impl BulkService {
                     }
                 })?);
                 self.plan_cache.insert(key, Arc::clone(&plan));
-                Some(plan)
+                req.plan = Some(plan);
             }
-        } else {
-            None
-        };
-        let names = op.vectors();
+        }
+        let names = req.op.vectors();
         let mut rows = None;
         for name in &names {
             let placement = self.catalog.get(name)?;
@@ -809,7 +827,7 @@ impl BulkService {
             }
         }
         let rows = rows.expect("every op names at least one vector");
-        if let Some(plan) = &plan {
+        if let Some(plan) = &req.plan {
             let needed = plan.scratch_rows_needed(rows, self.config.shards);
             if needed > self.config.kernel_scratch_rows {
                 return Err(ServeError::ScratchExhausted {
@@ -819,46 +837,48 @@ impl BulkService {
             }
         }
         let placement = self.catalog.get(names[0])?;
-        let involved: Vec<u32> = (0..self.config.shards)
+        req.involved = (0..self.config.shards)
             .filter(|&s| placement.rows_on_shard(ShardId(s), self.config.shards) > 0)
             .collect();
-        debug_assert!(!involved.is_empty(), "{rows}-row vector spans no shard");
-        if self.queued_per_tenant[tenant.0 as usize] >= self.config.quota() {
-            return Err(ServeError::QuotaExceeded {
-                tenant,
-                queued: self.queued_per_tenant[tenant.0 as usize],
-                quota: self.config.quota(),
-            });
-        }
-        for &s in &involved {
-            if self.queued_per_shard[s as usize] >= self.config.queue_depth {
-                return Err(ServeError::Overloaded {
-                    shard: ShardId(s),
-                    depth: self.queued_per_shard[s as usize],
-                });
-            }
-        }
-        Ok((involved, plan))
+        debug_assert!(!req.involved.is_empty(), "{rows}-row vector spans no shard");
+        Ok(())
     }
 
-    /// Advances one virtual tick: promote due retries, shed expired
-    /// requests, dispatch up to `batch_window` requests across the shard
-    /// pool, and charge the slowest shard's makespan to simulated time.
-    /// Returns the number of requests dispatched this tick.
+    /// Advances one virtual tick through the phases `collect` →
+    /// `decompose` → `dispatch` → `settle` → `maintain`: take a batch,
+    /// split it per shard, run every shard and charge the slowest
+    /// makespan, answer each request, then do replication upkeep. Idle
+    /// ticks skip the middle three but still maintain. Returns the
+    /// number of requests dispatched.
     pub fn step(&mut self) -> usize {
+        let batch = self.collect();
+        let dispatched = batch.len();
+        let outcomes = if batch.is_empty() {
+            Vec::new()
+        } else {
+            let (shard_ops, spans) = self.decompose(&batch);
+            let outcomes = self.dispatch(shard_ops);
+            for (req, req_spans) in batch.into_iter().zip(spans) {
+                self.settle(req, &req_spans, &outcomes);
+            }
+            outcomes
+        };
+        self.maintain(&outcomes);
+        self.now += 1;
+        dispatched
+    }
+
+    /// Phase *collect*: promotes due retries, adapts the window, takes
+    /// this tick's batch (shedding expired requests), and resolves the
+    /// batch's reads against the digest cache.
+    fn collect(&mut self) -> Vec<PendingRequest> {
         self.promote_due_retries();
         if self.config.adaptive_batch_window {
             self.tune_window();
         }
         let mut batch = self.collect_batch();
         if batch.is_empty() {
-            // Idle ticks still pump replication upkeep: a background
-            // rebuild must finish even when no requests arrive.
-            if self.replicas.is_some() {
-                self.replica_maintenance(&[]);
-            }
-            self.now += 1;
-            return 0;
+            return batch;
         }
         self.stats.batches += 1;
         telemetry::counter("serve.batches").inc();
@@ -895,12 +915,17 @@ impl BulkService {
                 }
             }
         }
+        batch
+    }
 
-        // Decompose each request into per-shard row-op runs.
+    /// Phase *decompose*: splits each request into per-shard row-op
+    /// runs. Returns every stripe's batch plus, per request, the
+    /// `(start, count)` span it occupies in each stripe's batch.
+    fn decompose(&self, batch: &[PendingRequest]) -> (Vec<Vec<RowOp>>, Vec<Spans>) {
         let shard_count = self.config.shards as usize;
         let mut shard_ops: Vec<Vec<RowOp>> = vec![Vec::new(); shard_count];
-        let mut spans: Vec<Vec<(usize, usize)>> = Vec::with_capacity(batch.len());
-        for req in &batch {
+        let mut spans = Vec::with_capacity(batch.len());
+        for req in batch {
             let mut req_spans = Vec::with_capacity(shard_count);
             for (s, ops) in shard_ops.iter_mut().enumerate() {
                 let start = ops.len();
@@ -909,21 +934,23 @@ impl BulkService {
             }
             spans.push(req_spans);
         }
+        (shard_ops, spans)
+    }
 
-        // Dispatch every replica of every stripe (empty batches still
-        // tick the reliability clock) concurrently; reduce in stripe
-        // order. A remote member's dispatch can fail at the transport —
-        // the per-member `Result` carries that without disturbing the
-        // other outcomes. With replication off there is exactly one
-        // work item per stripe and the reduction is the identity.
-        if let Some(mgr) = &mut self.replicas {
-            for (s, ops) in shard_ops.iter().enumerate() {
-                // A mid-rebuild member misses this batch; it replays
-                // from the schedule log when its snapshot lands.
-                mgr.log_schedule(s, self.config.tick_s, ops);
-            }
-        }
-        let work: Arc<Vec<(usize, usize, Vec<RowOp>)>> = match &self.replicas {
+    /// Phase *dispatch*: runs every replica of every stripe (empty
+    /// batches still tick the reliability clock) concurrently on the
+    /// worker pool, reduces the results to one outcome per stripe, and
+    /// charges the slowest stripe's makespan to simulated time plus the
+    /// batch energy and per-shard load. A remote member's dispatch can
+    /// fail at the transport — the per-stripe `Result` carries that
+    /// without disturbing the other outcomes. With replication off there
+    /// is exactly one work item per stripe and the reduction is the
+    /// identity.
+    fn dispatch(
+        &mut self,
+        shard_ops: Vec<Vec<RowOp>>,
+    ) -> Vec<Result<ShardBatchOutcome, ServeError>> {
+        let work: Arc<Vec<(usize, usize, Vec<RowOp>)>> = match &mut self.replicas {
             None => Arc::new(
                 shard_ops
                     .into_iter()
@@ -931,25 +958,33 @@ impl BulkService {
                     .map(|(s, ops)| (s, 0, ops))
                     .collect(),
             ),
-            Some(mgr) => Arc::new(
-                shard_ops
-                    .iter()
-                    .enumerate()
-                    .flat_map(|(s, ops)| {
-                        mgr.dispatch_replicas(s)
-                            .into_iter()
-                            .map(move |r| (s, r, ops.clone()))
-                    })
-                    .collect(),
-            ),
+            Some(mgr) => {
+                for (s, ops) in shard_ops.iter().enumerate() {
+                    // A mid-rebuild member misses this batch; it replays
+                    // from the schedule log when its snapshot lands.
+                    mgr.log_schedule(s, self.config.tick_s, ops);
+                }
+                let mgr = &*mgr;
+                Arc::new(
+                    shard_ops
+                        .iter()
+                        .enumerate()
+                        .flat_map(|(s, ops)| {
+                            mgr.dispatch_replicas(s)
+                                .into_iter()
+                                .map(move |r| (s, r, ops.clone()))
+                        })
+                        .collect(),
+                )
+            }
         };
         let shards = Arc::clone(&self.shards);
         let tick_s = self.config.tick_s;
-        let stripes = shard_count;
+        let stripes = self.config.shards as usize;
         let raw: Vec<Result<ShardBatchOutcome, ServeError>> = self.pool.map(
             &work,
             Arc::new(move |_i: usize, (s, r, ops): &(usize, usize, Vec<RowOp>)| {
-                shards.execute(r * stripes + s, ops, tick_s)
+                shards.member(r * stripes + s).execute(ops, tick_s)
             }),
         );
         let outcomes = self.reduce_outcomes(&work, raw);
@@ -973,16 +1008,7 @@ impl BulkService {
                 telemetry::counter("serve.maintenance_errors").inc();
             }
         }
-
-        let dispatched = batch.len();
-        for (req, req_spans) in batch.into_iter().zip(spans) {
-            self.settle(req, &req_spans, &outcomes);
-        }
-        if self.replicas.is_some() {
-            self.replica_maintenance(&outcomes);
-        }
-        self.now += 1;
-        dispatched
+        outcomes
     }
 
     /// Reduces the raw per-member dispatch results to one outcome per
@@ -1056,17 +1082,19 @@ impl BulkService {
         reduced
     }
 
-    /// Post-settle replication upkeep, once per tick: roll the
-    /// uncorrectable streak (planned failover past the threshold),
-    /// audit digests and poll active-member health at epoch
-    /// boundaries, and pump background rebuilds by one paced chunk.
-    /// `outcomes` is empty on idle ticks (nothing dispatched).
-    fn replica_maintenance(&mut self, outcomes: &[Result<ShardBatchOutcome, ServeError>]) {
+    /// Phase *maintain*: replication upkeep, once per tick (a no-op
+    /// with replication off): roll the uncorrectable streak (planned
+    /// failover past the threshold), audit digests and poll
+    /// active-member health at epoch boundaries, and pump background
+    /// rebuilds by one paced chunk — idle ticks included, so a rebuild
+    /// finishes even when no requests arrive. `outcomes` is empty on
+    /// idle ticks (nothing dispatched).
+    fn maintain(&mut self, outcomes: &[Result<ShardBatchOutcome, ServeError>]) {
+        let Some(mgr) = &self.replicas else {
+            return;
+        };
+        let epoch = mgr.epoch_due(self.now + 1);
         let shard_count = self.config.shards as usize;
-        let epoch = self
-            .replicas
-            .as_ref()
-            .is_some_and(|m| m.epoch_due(self.now + 1));
         for s in 0..shard_count {
             let any_uncorrectable = outcomes.get(s).is_some_and(|o| {
                 o.as_ref().is_ok_and(|o| {
@@ -1075,7 +1103,7 @@ impl BulkService {
                         .any(|out| matches!(out, Err(ArchError::Uncorrectable { .. })))
                 })
             });
-            let mgr = self.replicas.as_mut().expect("caller checked");
+            let mgr = self.replicas.as_mut().expect("checked above");
             if mgr.note_active_uncorrectable(s, any_uncorrectable)
                 && mgr.promote_planned(s).is_some()
             {
@@ -1087,8 +1115,7 @@ impl BulkService {
                     telemetry::counter("serve.replica.divergences").inc();
                 }
                 let member = mgr.active_member(s);
-                if let Ok(health) = self.shards.health(member) {
-                    let mgr = self.replicas.as_mut().expect("caller checked");
+                if let Ok(health) = self.shards.member(member).health() {
                     if mgr.health_exceeded(&health) && mgr.promote_planned(s).is_some() {
                         telemetry::counter("serve.replica.planned_failovers").inc();
                     }
@@ -1111,22 +1138,19 @@ impl BulkService {
                 // A remote member's session may have died with the
                 // fault that retired it — revive opens a fresh session
                 // at the same slot before the snapshot lands.
-                let mut ok = self.shards.revive(member).is_ok()
-                    && self
-                        .shards
-                        .restore_state(member, &snapshot)
-                        .unwrap_or(false);
+                let mut shard = self.shards.member(member);
+                let mut ok =
+                    shard.revive().is_ok() && shard.restore_state(&snapshot).unwrap_or(false);
                 let mut replayed = 0;
                 if ok {
                     for (tick_s, ops) in &pending {
-                        if self.shards.execute(member, ops, *tick_s).is_err() {
+                        if shard.execute(ops, *tick_s).is_err() {
                             ok = false;
                             break;
                         }
                         replayed += 1;
                     }
                 }
-                let mgr = self.replicas.as_mut().expect("caller checked");
                 mgr.complete_rebuild(s, replica, ok, replayed);
                 if ok {
                     telemetry::counter("serve.replica.rebuilds").inc();
@@ -1137,8 +1161,7 @@ impl BulkService {
             // Snapshot the new active *after* the tick settled, so the
             // schedule log starts exactly at the snapshot's state. An
             // unavailable snapshot (transport hiccup) retries next tick.
-            if let Ok(Some(snapshot)) = self.shards.snapshot_state(active) {
-                let mgr = self.replicas.as_mut().expect("caller checked");
+            if let Ok(Some(snapshot)) = self.shards.member(active).snapshot_state() {
                 mgr.begin_rebuild(s, replica, snapshot);
                 telemetry::counter("serve.replica.rebuilds_started").inc();
             }
@@ -1225,7 +1248,7 @@ impl BulkService {
                 .replicas
                 .as_ref()
                 .map_or(shard.0 as usize, |m| m.active_member(shard.0 as usize));
-            let data = self.shards.read_local_row(member, local.0)?;
+            let data = self.shards.member(member).read_local_row(local.0)?;
             rows.push(data);
         }
         Ok(rows)
@@ -1296,14 +1319,11 @@ impl BulkService {
     /// joins a batch that already has members — latency-sensitive
     /// tenants opt out of coalescing without stalling anyone else.
     fn collect_batch(&mut self) -> Vec<PendingRequest> {
-        // The auto-tuned window replaces the configured default, but an
-        // explicit per-tenant override still clamps: a window-1 tenant
-        // stays uncoalesced no matter how wide the tuner goes.
-        let default_window = if self.config.adaptive_batch_window {
-            self.tuned_window
-        } else {
-            self.config.batch_window
-        };
+        // The tuned window (the configured one when the tuner is off)
+        // is the default, but an explicit per-tenant override still
+        // clamps: a window-1 tenant stays uncoalesced no matter how wide
+        // the tuner goes.
+        let default_window = self.tuned_window;
         let mut window = default_window;
         let mut batch = Vec::with_capacity(window);
         while let Some(req) = self.pending.pop_front() {
@@ -1312,29 +1332,15 @@ impl BulkService {
                     self.stats.shed_deadline += 1;
                     telemetry::counter("serve.shed.deadline").inc();
                     self.release(&req);
-                    self.responses.push(ServeResponse {
-                        request: req.id,
-                        tenant: req.tenant,
-                        op: req.op.mnemonic(),
-                        outcome: Err(ServeError::DeadlineExceeded {
-                            deadline_tick: deadline,
-                            now_tick: self.now,
-                        }),
-                        submitted_tick: req.submitted_tick,
-                        completed_tick: self.now,
-                        latency_cycles: self.sim_cycles - req.submit_cycles,
-                        retries: req.attempts,
-                    });
+                    let shed = ServeError::DeadlineExceeded {
+                        deadline_tick: deadline,
+                        now_tick: self.now,
+                    };
+                    self.respond(&req, Err(shed));
                     continue;
                 }
             }
-            let tenant_window = self
-                .config
-                .tenant_batch_window
-                .iter()
-                .find(|&&(t, _)| t == req.tenant.0)
-                .map_or(default_window, |&(_, w)| w);
-            let proposed = window.min(tenant_window);
+            let proposed = window.min(self.config.window_for(req.tenant, default_window));
             if batch.len() >= proposed {
                 self.pending.push_front(req);
                 break;
@@ -1365,6 +1371,15 @@ impl BulkService {
                 .output_names()
                 .collect(),
         }
+    }
+
+    /// Rows per vector a kernel plan runs over (its vectors agree in
+    /// shape, checked at admission).
+    fn kernel_rows(&self, plan: &KernelPlan) -> u64 {
+        plan.vector_names()
+            .next()
+            .map(|v| self.catalog.get(v).expect("validated at admission").rows)
+            .expect("plans touch at least one vector")
     }
 
     /// Appends the per-shard row-ops realising `req` on shard `s`.
@@ -1447,18 +1462,15 @@ impl BulkService {
                     .vector_names()
                     .map(|v| get(v).shard_base[s as usize])
                     .collect();
-                let rows = plan
-                    .vector_names()
-                    .next()
-                    .map(|v| get(v).rows)
-                    .expect("plans touch at least one vector");
+                let rows = self.kernel_rows(plan);
                 plan.emit_for_shard(s, shards, rows, &bases, self.scratch_base, out);
             }
         }
     }
 
-    /// Settles one dispatched request: success response, retry
-    /// re-queue, or typed failure.
+    /// Phase *settle*, once per dispatched request in batch (request-id)
+    /// order: turns the request's slice of the stripe outcomes into its
+    /// success response, retry re-queue, or typed failure.
     fn settle(
         &mut self,
         mut req: PendingRequest,
@@ -1479,16 +1491,7 @@ impl BulkService {
                 telemetry::counter("serve.failed").inc();
                 telemetry::counter("serve.transport_errors").inc();
                 self.release(&req);
-                self.responses.push(ServeResponse {
-                    request: req.id,
-                    tenant: req.tenant,
-                    op: req.op.mnemonic(),
-                    outcome: Err(err.clone()),
-                    submitted_tick: req.submitted_tick,
-                    completed_tick: self.now,
-                    latency_cycles: self.sim_cycles - req.submit_cycles,
-                    retries: req.attempts,
-                });
+                self.respond(&req, Err(err.clone()));
                 return;
             }
         }
@@ -1550,17 +1553,7 @@ impl BulkService {
                     }
                     (LogicalOp::Kernel { .. }, _) => {
                         let plan = req.plan.as_ref().expect("kernels carry their plan");
-                        let rows = plan
-                            .vector_names()
-                            .next()
-                            .map(|v| {
-                                self.catalog
-                                    .get(v)
-                                    .expect("validated at admission")
-                                    .rows
-                            })
-                            .expect("plans touch at least one vector");
-                        let fused_ops = plan.vector_ops() * rows;
+                        let fused_ops = plan.vector_ops() * self.kernel_rows(plan);
                         self.stats.kernels += 1;
                         telemetry::counter("serve.kernel.requests").inc();
                         telemetry::counter("serve.kernel.fused_ops").add(fused_ops);
@@ -1575,19 +1568,10 @@ impl BulkService {
                 };
                 self.stats.completed += 1;
                 telemetry::counter("serve.completed").inc();
-                let latency = self.sim_cycles - req.submit_cycles;
-                telemetry::histogram("serve.latency_cycles").record(latency);
+                telemetry::histogram("serve.latency_cycles")
+                    .record(self.sim_cycles - req.submit_cycles);
                 self.release(&req);
-                self.responses.push(ServeResponse {
-                    request: req.id,
-                    tenant: req.tenant,
-                    op: req.op.mnemonic(),
-                    outcome: Ok(payload),
-                    submitted_tick: req.submitted_tick,
-                    completed_tick: self.now,
-                    latency_cycles: latency,
-                    retries: req.attempts,
-                });
+                self.respond(&req, Ok(payload));
             }
             Some(err @ ArchError::Uncorrectable { .. })
                 if req.attempts < self.config.max_retries =>
@@ -1623,18 +1607,23 @@ impl BulkService {
                     other => ServeError::Backend { source: other },
                 };
                 self.release(&req);
-                self.responses.push(ServeResponse {
-                    request: req.id,
-                    tenant: req.tenant,
-                    op: req.op.mnemonic(),
-                    outcome: Err(outcome),
-                    submitted_tick: req.submitted_tick,
-                    completed_tick: self.now,
-                    latency_cycles: self.sim_cycles - req.submit_cycles,
-                    retries: req.attempts,
-                });
+                self.respond(&req, Err(outcome));
             }
         }
+    }
+
+    /// Logs `req`'s one response, completed now.
+    fn respond(&mut self, req: &PendingRequest, outcome: Result<ResponsePayload, ServeError>) {
+        self.responses.push(ServeResponse {
+            request: req.id,
+            tenant: req.tenant,
+            op: req.op.mnemonic(),
+            outcome,
+            submitted_tick: req.submitted_tick,
+            completed_tick: self.now,
+            latency_cycles: self.sim_cycles - req.submit_cycles,
+            retries: req.attempts,
+        });
     }
 
     /// Releases a settled request's queue accounting.
@@ -2138,6 +2127,20 @@ mod tests {
             BulkService::new(cfg),
             Err(ServeError::InvalidConfig { .. })
         ));
+        // A bad reliability tick would otherwise only surface as a panic
+        // in the drift process on the first step.
+        for tick_s in [-1.0, f64::NAN] {
+            let mut cfg = ServiceConfig::small(1);
+            cfg.tier = ServiceTier::Protected {
+                drift: DriftSpec::quiet(7),
+                scrub_period_s: 1.0,
+            };
+            cfg.tick_s = tick_s;
+            assert!(matches!(
+                BulkService::new(cfg),
+                Err(ServeError::InvalidConfig { .. })
+            ));
+        }
     }
 
     #[test]

@@ -13,11 +13,13 @@
 //! against shard count.
 
 use felim_arch::batch::{execute_batch, RowOp, RowOpOutput};
+use felim_arch::command::Command;
 use felim_arch::controller::{ControllerConfig, ReliabilityController};
 use felim_arch::drift::DriftSpec;
+use felim_arch::energy::LatencyModel;
 use felim_arch::geometry::MemoryGeometry;
 use felim_arch::schedule::schedule;
-use felim_arch::{ArchError, BulkBackend, DramBackend, FeramBackend};
+use felim_arch::{ArchError, BulkBackend, ControllerHealth, DramBackend, FeramBackend};
 use serde::Serialize;
 
 /// Which memory technology backs each shard.
@@ -39,13 +41,70 @@ impl Technology {
     }
 }
 
-/// The backend behind one shard. Reliability-tiered shards wrap the raw
-/// backend in a [`ReliabilityController`] (SECDED ECC + patrol scrub).
-enum ShardBackend {
-    Feram(Box<FeramBackend>),
-    Dram(Box<DramBackend>),
-    ReliableFeram(Box<ReliabilityController<FeramBackend>>),
-    ReliableDram(Box<ReliabilityController<DramBackend>>),
+/// What a shard needs from its backend beyond [`BulkBackend`]: the
+/// command log a batch is priced from, the data-row boundary, and the
+/// reliability clock. Implemented by both raw backends and by a
+/// [`ReliabilityController`] over either, so the backend kind is decided
+/// once, in [`Shard::new`].
+trait ShardBackend: BulkBackend + Send {
+    /// Commands issued since the log was last cleared.
+    fn command_log(&self) -> &[Command];
+    fn clear_command_log(&mut self);
+    /// First reserved local row — data rows live strictly below it.
+    fn data_rows(&self) -> u64;
+    /// The cycle costs the command log is replayed at.
+    fn latency_model(&self) -> &LatencyModel;
+    /// Advances reliability time by `dt_s` (scrub and drift); raw
+    /// backends model neither.
+    fn tick(&mut self, _dt_s: f64) -> Result<(), ArchError> {
+        Ok(())
+    }
+    /// Raw backends track nothing, so nothing can degrade: all-zero.
+    fn health(&self) -> ControllerHealth {
+        ControllerHealth::default()
+    }
+}
+
+macro_rules! raw_shard_backend {
+    ($($backend:ty),*) => {$(
+        impl ShardBackend for $backend {
+            fn command_log(&self) -> &[Command] {
+                <$backend>::command_log(self)
+            }
+            fn clear_command_log(&mut self) {
+                <$backend>::clear_command_log(self);
+            }
+            fn data_rows(&self) -> u64 {
+                self.first_reserved_row().0
+            }
+            fn latency_model(&self) -> &LatencyModel {
+                <$backend>::latency_model(self)
+            }
+        }
+    )*};
+}
+
+raw_shard_backend!(FeramBackend, DramBackend);
+
+impl<B: ShardBackend> ShardBackend for ReliabilityController<B> {
+    fn command_log(&self) -> &[Command] {
+        self.inner().command_log()
+    }
+    fn clear_command_log(&mut self) {
+        self.inner_mut().clear_command_log();
+    }
+    fn data_rows(&self) -> u64 {
+        self.inner().data_rows()
+    }
+    fn latency_model(&self) -> &LatencyModel {
+        self.inner().latency_model()
+    }
+    fn tick(&mut self, dt_s: f64) -> Result<(), ArchError> {
+        ReliabilityController::tick(self, dt_s)
+    }
+    fn health(&self) -> ControllerHealth {
+        ReliabilityController::health(self)
+    }
 }
 
 /// Outcome of one batch dispatch on one shard. `Clone + PartialEq` so
@@ -70,7 +129,8 @@ pub struct ShardBatchOutcome {
 
 /// One shard: an isolated backend plus its dispatch state.
 pub struct Shard {
-    backend: ShardBackend,
+    backend: Box<dyn ShardBackend>,
+    technology: Technology,
     slots: usize,
 }
 
@@ -80,6 +140,21 @@ impl std::fmt::Debug for Shard {
             .field("tech", &self.tech_name())
             .field("slots", &self.slots)
             .finish()
+    }
+}
+
+/// Wraps `raw` in a protected [`ReliabilityController`] when the tier
+/// asks for one.
+fn protect<B: ShardBackend + 'static>(
+    raw: B,
+    tier_config: Option<(DriftSpec, f64)>,
+) -> Box<dyn ShardBackend> {
+    match tier_config {
+        None => Box::new(raw),
+        Some((drift, period)) => Box::new(ReliabilityController::new(
+            raw,
+            ControllerConfig::protected(drift, period),
+        )),
     }
 }
 
@@ -93,88 +168,48 @@ impl Shard {
         tier_config: Option<(DriftSpec, f64)>,
     ) -> Self {
         let slots = geometry.subarrays().max(1) as usize;
-        let backend = match (technology, tier_config) {
-            (Technology::Feram, None) => {
-                ShardBackend::Feram(Box::new(FeramBackend::new(geometry).with_command_log()))
+        let backend = match technology {
+            Technology::Feram => {
+                protect(FeramBackend::new(geometry).with_command_log(), tier_config)
             }
-            (Technology::Dram, None) => {
-                ShardBackend::Dram(Box::new(DramBackend::new(geometry).with_command_log()))
-            }
-            (Technology::Feram, Some((drift, period))) => {
-                let inner = FeramBackend::new(geometry).with_command_log();
-                ShardBackend::ReliableFeram(Box::new(ReliabilityController::new(
-                    inner,
-                    ControllerConfig::protected(drift, period),
-                )))
-            }
-            (Technology::Dram, Some((drift, period))) => {
-                let inner = DramBackend::new(geometry).with_command_log();
-                ShardBackend::ReliableDram(Box::new(ReliabilityController::new(
-                    inner,
-                    ControllerConfig::protected(drift, period),
-                )))
-            }
+            Technology::Dram => protect(DramBackend::new(geometry).with_command_log(), tier_config),
         };
-        Self { backend, slots }
+        Self {
+            backend,
+            technology,
+            slots,
+        }
     }
 
     /// The shard's technology label (`"feram"` / `"dram"`).
     pub fn tech_name(&self) -> &'static str {
-        match &self.backend {
-            ShardBackend::Feram(_) | ShardBackend::ReliableFeram(_) => "feram",
-            ShardBackend::Dram(_) | ShardBackend::ReliableDram(_) => "dram",
-        }
+        self.technology.label()
     }
 
     /// First reserved local row — data rows live strictly below it.
     pub fn data_rows(&self) -> u64 {
-        match &self.backend {
-            ShardBackend::Feram(m) => m.first_reserved_row().0,
-            ShardBackend::Dram(m) => m.first_reserved_row().0,
-            ShardBackend::ReliableFeram(c) => c.inner().first_reserved_row().0,
-            ShardBackend::ReliableDram(c) => c.inner().first_reserved_row().0,
-        }
+        self.backend.data_rows()
     }
 
     /// Runs one coalesced batch: advances the reliability clock by
     /// `tick_s` (protected tiers), executes the ops, and prices the
     /// batch's command log as a subarray-parallel makespan.
     pub fn execute(&mut self, ops: &[RowOp], tick_s: f64) -> ShardBatchOutcome {
-        let maintenance_error = match &mut self.backend {
-            ShardBackend::ReliableFeram(c) => c.tick(tick_s).err(),
-            ShardBackend::ReliableDram(c) => c.tick(tick_s).err(),
-            _ => None,
+        let maintenance_error = self.backend.tick(tick_s).err();
+        let report = execute_batch(self.backend.as_mut(), ops);
+        let log = self.backend.command_log();
+        let (serial_cycles, makespan_cycles) = if log.is_empty() {
+            (0, 0)
+        } else {
+            let replay = schedule(
+                log,
+                self.backend.geometry(),
+                self.backend.latency_model(),
+                self.slots,
+            );
+            (replay.serial_cycles, replay.makespan_cycles)
         };
-
-        let report = execute_batch(self.backend_mut(), ops);
-
-        let (serial_cycles, makespan_cycles) = {
-            let (log, geometry, latency) = match &self.backend {
-                ShardBackend::Feram(m) => (m.command_log(), m.geometry(), m.latency_model()),
-                ShardBackend::Dram(m) => (m.command_log(), m.geometry(), m.latency_model()),
-                ShardBackend::ReliableFeram(c) => {
-                    let m = c.inner();
-                    (m.command_log(), m.geometry(), m.latency_model())
-                }
-                ShardBackend::ReliableDram(c) => {
-                    let m = c.inner();
-                    (m.command_log(), m.geometry(), m.latency_model())
-                }
-            };
-            if log.is_empty() {
-                (0, 0)
-            } else {
-                let replay = schedule(log, geometry, latency, self.slots);
-                (replay.serial_cycles, replay.makespan_cycles)
-            }
-        };
-        match &mut self.backend {
-            ShardBackend::Feram(m) => m.clear_command_log(),
-            ShardBackend::Dram(m) => m.clear_command_log(),
-            ShardBackend::ReliableFeram(c) => c.inner_mut().clear_command_log(),
-            ShardBackend::ReliableDram(c) => c.inner_mut().clear_command_log(),
-        }
-
+        self.backend.clear_command_log();
         ShardBatchOutcome {
             outputs: report.outputs,
             serial_cycles,
@@ -191,15 +226,9 @@ impl Shard {
     ///
     /// Propagates the backend's [`ArchError`].
     pub fn read_local_row(&mut self, row: u64) -> Result<Vec<u64>, ArchError> {
-        let row = felim_arch::geometry::RowId(row);
-        let data = self.backend_mut().read_row(row);
+        let data = self.backend.read_row(felim_arch::geometry::RowId(row));
         // Keep maintenance traffic out of the next batch's makespan.
-        match &mut self.backend {
-            ShardBackend::Feram(m) => m.clear_command_log(),
-            ShardBackend::Dram(m) => m.clear_command_log(),
-            ShardBackend::ReliableFeram(c) => c.inner_mut().clear_command_log(),
-            ShardBackend::ReliableDram(c) => c.inner_mut().clear_command_log(),
-        }
+        self.backend.clear_command_log();
         data
     }
 
@@ -207,49 +236,19 @@ impl Shard {
     /// side-bands, drift clocks) for replica transfer. `None` when the
     /// backend cannot snapshot (e.g. a fault injector is attached).
     pub fn snapshot_state(&self) -> Option<Vec<u8>> {
-        match &self.backend {
-            ShardBackend::Feram(m) => BulkBackend::snapshot_state(m.as_ref()),
-            ShardBackend::Dram(m) => BulkBackend::snapshot_state(m.as_ref()),
-            ShardBackend::ReliableFeram(c) => BulkBackend::snapshot_state(c.as_ref()),
-            ShardBackend::ReliableDram(c) => BulkBackend::snapshot_state(c.as_ref()),
-        }
+        self.backend.snapshot_state()
     }
 
     /// Restores the backend from a [`snapshot_state`](Self::snapshot_state)
     /// buffer. `false` (state untouched) on any mismatch or corruption.
     pub fn restore_state(&mut self, snapshot: &[u8]) -> bool {
-        self.backend_mut().restore_state(snapshot)
+        self.backend.restore_state(snapshot)
     }
 
     /// Current reliability-health counters. Raw (Baseline) shards report
     /// all-zero health: nothing is tracked, so nothing can degrade.
-    pub fn health(&self) -> felim_arch::ControllerHealth {
-        match &self.backend {
-            ShardBackend::ReliableFeram(c) => c.health(),
-            ShardBackend::ReliableDram(c) => c.health(),
-            ShardBackend::Feram(_) | ShardBackend::Dram(_) => {
-                felim_arch::ControllerHealth::default()
-            }
-        }
-    }
-
-    /// Cumulative backend statistics (cycles, energy, command mix).
-    pub fn stats(&self) -> &felim_arch::stats::ExecStats {
-        match &self.backend {
-            ShardBackend::Feram(m) => m.stats(),
-            ShardBackend::Dram(m) => m.stats(),
-            ShardBackend::ReliableFeram(c) => c.stats(),
-            ShardBackend::ReliableDram(c) => c.stats(),
-        }
-    }
-
-    fn backend_mut(&mut self) -> &mut dyn BulkBackend {
-        match &mut self.backend {
-            ShardBackend::Feram(m) => m.as_mut(),
-            ShardBackend::Dram(m) => m.as_mut(),
-            ShardBackend::ReliableFeram(c) => c.as_mut(),
-            ShardBackend::ReliableDram(c) => c.as_mut(),
-        }
+    pub fn health(&self) -> ControllerHealth {
+        self.backend.health()
     }
 }
 
@@ -296,12 +295,6 @@ mod tests {
 
     #[test]
     fn protected_shard_serves_and_ticks() {
-        let mut shard = Shard::new(
-            Technology::Feram,
-            MemoryGeometry::tiny(),
-            Some((DriftSpec::quiet(7), 1.0)),
-        );
-        assert_eq!(shard.tech_name(), "feram");
         let ops = vec![
             RowOp::Write {
                 row: RowId(0),
@@ -318,13 +311,24 @@ mod tests {
             },
             RowOp::Read { row: RowId(2) },
         ];
-        let out = shard.execute(&ops, 0.5);
-        assert!(out.maintenance_error.is_none());
-        match &out.outputs[3] {
-            Ok(RowOpOutput::Data(words)) => assert_eq!(words[0], 0b1000),
-            other => panic!("expected read data, got {other:?}"),
+        // The full backend matrix: FeRAM/DRAM x raw/Protected.
+        let mut reads = Vec::new();
+        for technology in [Technology::Feram, Technology::Dram] {
+            for tier in [None, Some((DriftSpec::quiet(7), 1.0))] {
+                let mut shard = Shard::new(technology, MemoryGeometry::tiny(), tier);
+                assert_eq!(shard.tech_name(), technology.label());
+                let out = shard.execute(&ops, 0.5);
+                assert!(out.maintenance_error.is_none());
+                let words = match &out.outputs[3] {
+                    Ok(RowOpOutput::Data(words)) => words.clone(),
+                    other => panic!("expected read data, got {other:?}"),
+                };
+                assert_eq!(words[0], 0b1000);
+                assert_eq!(shard.read_local_row(2).unwrap(), words);
+                reads.push(words);
+            }
         }
-        assert_eq!(shard.read_local_row(2).unwrap()[0], 0b1000);
+        assert!(reads.windows(2).all(|w| w[0] == w[1]), "backends disagree");
     }
 
     #[test]

@@ -9,11 +9,12 @@
 //! shards, at several shard counts, so striping arithmetic, scratch-row
 //! placement, and write-back copies are all exercised.
 
-use felim::arch::DriftSpec;
+use felim::arch::{BulkBackend, DramBackend, DriftSpec, FeramBackend, MemoryGeometry, RowId};
 use felim::exec::derive_seed;
 use felim::serve::{
     BulkService, LogicalOp, Program, ServiceConfig, ServiceTier, TenantId,
 };
+use felim::workloads::query::Predicate;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -185,5 +186,60 @@ proptest! {
             &program,
             &inputs,
         );
+    }
+
+    /// One grammar, two clients: a bitmap-query predicate and a kernel
+    /// statement parse the same text through the same front end. For a
+    /// random expression, `Predicate::eval` agrees with the kernel DSL's
+    /// `eval_words` on every assignment of the inputs, and
+    /// `Predicate::execute` computes the same bitmap on both backends.
+    fn predicates_and_kernels_share_one_grammar(seed in 0u64..u64::MAX) {
+        let mut g = Gen::new(seed);
+        let names: Vec<String> = ["a", "b", "c"].iter().map(|s| s.to_string()).collect();
+        let expr = gen_expr(&mut g, &names, 3);
+        let predicate = Predicate::parse(&expr).expect("generated expressions parse");
+        let program = Program::parse(&format!("out = {expr}")).expect("generated programs parse");
+
+        // Bit `m` of input `i`'s word is bit `i` of `m`, so lanes 0..8
+        // enumerate every assignment of (a, b, c) and the rest repeat them.
+        let patterns = [0xAAAA_AAAA_AAAA_AAAAu64, 0xCCCC_CCCC_CCCC_CCCC, 0xF0F0_F0F0_F0F0_F0F0];
+        let env: BTreeMap<String, u64> = names.iter().cloned().zip(patterns).collect();
+        let want = program.eval_words(&env)["out"];
+        for m in 0..8 {
+            let assignment: BTreeMap<&str, bool> = names
+                .iter()
+                .enumerate()
+                .map(|(i, n)| (n.as_str(), (m >> i) & 1 == 1))
+                .collect();
+            prop_assert_eq!(
+                predicate.eval(&assignment),
+                (want >> m) & 1 == 1,
+                "assignment {} of `{}`",
+                m,
+                expr
+            );
+        }
+
+        for backend in [
+            &mut FeramBackend::new(MemoryGeometry::tiny()) as &mut dyn BulkBackend,
+            &mut DramBackend::new(MemoryGeometry::tiny()) as &mut dyn BulkBackend,
+        ] {
+            let words = backend.geometry().row_words();
+            let mut columns = BTreeMap::new();
+            for (i, (name, &pattern)) in names.iter().zip(&patterns).enumerate() {
+                backend.install_row(RowId(i as u64), &vec![pattern; words]).unwrap();
+                columns.insert(name.clone(), RowId(i as u64));
+            }
+            predicate.execute(backend, &columns, RowId(20), RowId(10)).unwrap();
+            let got = backend.read_row(RowId(10)).unwrap();
+            prop_assert!(
+                got.iter().all(|&w| w == want),
+                "{} executed `{}` to {:#x}, want {:#x}",
+                backend.tech_name(),
+                expr,
+                got[0],
+                want
+            );
+        }
     }
 }
