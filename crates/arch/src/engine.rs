@@ -9,6 +9,7 @@
 use crate::geometry::{MemoryGeometry, RowId};
 use crate::ArchError;
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// Lazily-materialised storage for full memory rows.
 #[derive(Debug, Clone, Default)]
@@ -18,6 +19,11 @@ pub struct RowStore {
     /// Reusable row buffer for the combine/map operations, so the
     /// per-command hot path performs no heap allocation in steady state.
     scratch: Vec<u64>,
+    /// One all-zero row standing in for every row never written, so
+    /// each kernel operand resolves to a plain slice once per row
+    /// instead of an `Option` per word. Allocated on first use: most
+    /// stores are built and dropped without ever needing it.
+    zero: OnceLock<Vec<u64>>,
 }
 
 impl RowStore {
@@ -32,6 +38,7 @@ impl RowStore {
             geometry,
             rows: HashMap::new(),
             scratch: Vec::new(),
+            zero: OnceLock::new(),
         }
     }
 
@@ -54,6 +61,29 @@ impl RowStore {
                 rows: self.geometry.total_rows(),
             })
         }
+    }
+
+    /// A row's words as a full-length slice: the shared zero row when it
+    /// was never materialised.
+    fn words(&self, row: RowId) -> Result<&[u64], ArchError> {
+        self.check_in_range(row)?;
+        Ok(match self.rows.get(&row.0) {
+            Some(r) => r,
+            None => self.zero.get_or_init(|| vec![0; self.geometry.row_words()]),
+        })
+    }
+
+    /// Computes a row into the reusable scratch buffer with `fill`, then
+    /// writes it to `dst`.
+    fn write_computed(
+        &mut self,
+        dst: RowId,
+        fill: impl FnOnce(&Self, &mut Vec<u64>) -> Result<(), ArchError>,
+    ) -> Result<(), ArchError> {
+        let mut out = std::mem::take(&mut self.scratch);
+        let result = fill(self, &mut out).and_then(|()| self.write(dst, &out));
+        self.scratch = out;
+        result
     }
 
     /// Reads a row (zeros if never written).
@@ -147,60 +177,15 @@ impl RowStore {
         Ok(())
     }
 
-    /// `dst[i] = f(a[i], b[i])` across the whole row.
-    ///
-    /// # Errors
-    ///
-    /// As for [`RowStore::read`] / [`RowStore::write`].
-    pub fn combine(
-        &mut self,
-        a: RowId,
-        b: RowId,
-        dst: RowId,
-        f: impl Fn(u64, u64) -> u64,
-    ) -> Result<(), ArchError> {
-        self.check_in_range(a)?;
-        self.check_in_range(b)?;
-        let words = self.geometry.row_words();
-        let mut out = std::mem::take(&mut self.scratch);
-        out.clear();
-        {
-            let ra = self.rows.get(&a.0);
-            let rb = self.rows.get(&b.0);
-            out.extend((0..words).map(|i| {
-                f(
-                    ra.map_or(0, |r| r[i]),
-                    rb.map_or(0, |r| r[i]),
-                )
-            }));
-        }
-        let result = self.write(dst, &out);
-        self.scratch = out;
-        result
-    }
-
     /// `dst[i] = f(src[i])` across the whole row.
     ///
     /// # Errors
     ///
     /// As for [`RowStore::read`] / [`RowStore::write`].
-    pub fn map(
-        &mut self,
-        src: RowId,
-        dst: RowId,
-        f: impl Fn(u64) -> u64,
-    ) -> Result<(), ArchError> {
-        self.check_in_range(src)?;
-        let words = self.geometry.row_words();
-        let mut out = std::mem::take(&mut self.scratch);
-        out.clear();
-        {
-            let r = self.rows.get(&src.0);
-            out.extend((0..words).map(|i| f(r.map_or(0, |r| r[i]))));
-        }
-        let result = self.write(dst, &out);
-        self.scratch = out;
-        result
+    pub fn map(&mut self, src: RowId, dst: RowId, f: impl Fn(u64) -> u64) -> Result<(), ArchError> {
+        self.write_computed(dst, |s, out| {
+            s.combine3_into(src, src, src, out, |x, _, _| f(x))
+        })
     }
 
     /// `out[i] = f(a[i], b[i])` across the whole row, into a caller-owned
@@ -208,7 +193,7 @@ impl RowStore {
     ///
     /// # Errors
     ///
-    /// [`ArchError::RowOutOfRange`] for rows outside the geometry.
+    /// As for [`RowStore::combine3_into`].
     pub fn combine2_into(
         &self,
         a: RowId,
@@ -216,19 +201,18 @@ impl RowStore {
         out: &mut Vec<u64>,
         f: impl Fn(u64, u64) -> u64,
     ) -> Result<(), ArchError> {
-        self.check_in_range(a)?;
-        self.check_in_range(b)?;
-        let words = self.geometry.row_words();
-        let ra = self.rows.get(&a.0);
-        let rb = self.rows.get(&b.0);
-        out.clear();
-        out.extend((0..words).map(|i| f(ra.map_or(0, |r| r[i]), rb.map_or(0, |r| r[i]))));
-        Ok(())
+        self.combine3_into(a, b, b, out, |x, y, _| f(x, y))
     }
 
     /// `out[i] = f(a[i], b[i], c[i])` across the whole row, into a
     /// caller-owned buffer (cleared and refilled) — the read side of
     /// TRA/TBA without touching the store.
+    ///
+    /// This is the store's one per-word loop: every operand resolves to a
+    /// full-length slice up front and the words stream through a single
+    /// zipped pass, which the compiler vectorises. `map` and
+    /// `combine2_into` pass repeated operands, whose unused loads
+    /// optimise away.
     ///
     /// # Errors
     ///
@@ -241,21 +225,9 @@ impl RowStore {
         out: &mut Vec<u64>,
         f: impl Fn(u64, u64, u64) -> u64,
     ) -> Result<(), ArchError> {
-        self.check_in_range(a)?;
-        self.check_in_range(b)?;
-        self.check_in_range(c)?;
-        let words = self.geometry.row_words();
-        let ra = self.rows.get(&a.0);
-        let rb = self.rows.get(&b.0);
-        let rc = self.rows.get(&c.0);
+        let (ra, rb, rc) = (self.words(a)?, self.words(b)?, self.words(c)?);
         out.clear();
-        out.extend((0..words).map(|i| {
-            f(
-                ra.map_or(0, |r| r[i]),
-                rb.map_or(0, |r| r[i]),
-                rc.map_or(0, |r| r[i]),
-            )
-        }));
+        out.extend(ra.iter().zip(rb).zip(rc).map(|((&x, &y), &z)| f(x, y, z)));
         Ok(())
     }
 
@@ -272,12 +244,7 @@ impl RowStore {
         dst: RowId,
         f: impl Fn(u64, u64, u64) -> u64,
     ) -> Result<(), ArchError> {
-        let mut out = std::mem::take(&mut self.scratch);
-        let result = self
-            .combine3_into(a, b, c, &mut out, f)
-            .and_then(|()| self.write(dst, &out));
-        self.scratch = out;
-        result
+        self.write_computed(dst, |s, out| s.combine3_into(a, b, c, out, f))
     }
 
     /// Fills a row with a constant word, in place when materialised.
@@ -369,8 +336,11 @@ mod tests {
         let mut s = store();
         s.fill(RowId(0), 0b1100).unwrap();
         s.fill(RowId(1), 0b1010).unwrap();
-        s.combine(RowId(0), RowId(1), RowId(2), |a, b| a & b).unwrap();
-        assert_eq!(s.read(RowId(2)).unwrap()[0], 0b1000);
+        let mut out = Vec::new();
+        s.combine2_into(RowId(0), RowId(1), &mut out, |a, b| a & b)
+            .unwrap();
+        assert_eq!(out[0], 0b1000);
+        s.write(RowId(2), &out).unwrap();
         s.map(RowId(2), RowId(3), |x| !x).unwrap();
         assert_eq!(s.read(RowId(3)).unwrap()[0], !0b1000u64);
     }

@@ -37,7 +37,7 @@
 
 use crate::command::Command;
 use crate::energy::{EnergyModel, LatencyModel};
-use crate::engine::{minority_words, RowStore};
+use crate::engine::{majority_words, minority_words, RowStore};
 use crate::fault::{DegradationPolicy, FaultInjector, FaultSpec, ReliabilityStats};
 use crate::geometry::{MemoryGeometry, RowId};
 use crate::stats::ExecStats;
@@ -512,21 +512,20 @@ impl FeramBackend {
         // directly from the operand planes and the constant control word
         // instead of materialising the staging slots — the command stream
         // and cost accounting above are identical either way.
+        // The polarity is picked once per row, not once per word, so the
+        // kernel stays a branch-free pass (MAJORITY = ¬MINORITY).
         let mut truth = std::mem::take(&mut self.row_buf);
         let result = (|| {
-            self.planes.combine2_into(
-                self.plane_of(phys_a, 0),
-                pb0,
-                &mut truth,
-                |x, y| {
-                    let m = minority_words(x, y, control_word);
-                    if complement {
-                        !m
-                    } else {
-                        m
-                    }
-                },
-            )?;
+            let pa0 = self.plane_of(phys_a, 0);
+            if complement {
+                self.planes.combine2_into(pa0, pb0, &mut truth, |x, y| {
+                    majority_words(x, y, control_word)
+                })?;
+            } else {
+                self.planes.combine2_into(pa0, pb0, &mut truth, |x, y| {
+                    minority_words(x, y, control_word)
+                })?;
+            }
             if self.faults.is_some() {
                 let sensed = self.sense(a, &truth);
                 self.commit_data(dst, &sensed)?;
