@@ -37,7 +37,6 @@ impl DramBackend {
     /// Creates a backend over the given geometry with the paper's energy
     /// and latency constants.
     pub fn new(geometry: MemoryGeometry) -> Self {
-        let mut store = RowStore::new(geometry);
         let mut backend = Self {
             geometry,
             energy: EnergyModel::dram(),
@@ -48,13 +47,9 @@ impl DramBackend {
             command_log: None,
         };
         // Control rows hold their constants from initialisation on.
-        store
-            .fill(backend.c0(), 0)
-            .expect("control row C0 in range");
-        store
-            .fill(backend.c1(), !0)
-            .expect("control row C1 in range");
-        backend.store = store;
+        let (c0, c1) = (backend.c0(), backend.c1());
+        backend.store.fill(c0, 0).expect("control row C0 in range");
+        backend.store.fill(c1, !0).expect("control row C1 in range");
         backend
     }
 
@@ -124,7 +119,8 @@ impl DramBackend {
         }
     }
 
-    /// AAP copy: ACTIVATE(src) + RowClone(dst) + PRECHARGE.
+    /// AAP copy: ACTIVATE(src) + RowClone(dst) + PRECHARGE. The store
+    /// shares the source row's buffer, so no words move.
     fn aap_copy(&mut self, src: RowId, dst: RowId) -> Result<(), ArchError> {
         self.issue(Command::Activate(src));
         self.issue(Command::RowClone { dst });
@@ -133,7 +129,8 @@ impl DramBackend {
     }
 
     /// AAP with TRA: MAJORITY of (T0,T1,T2) cloned into `dst`; all three
-    /// compute rows are destroyed (left holding the result).
+    /// compute rows are destroyed (left holding the result, which they
+    /// share with `dst`).
     fn aap_tra(&mut self, dst: RowId) -> Result<(), ArchError> {
         let (t0, t1, t2) = (self.t(0), self.t(1), self.t(2));
         self.issue(Command::TripleRowActivate(t0, t1, t2));
@@ -149,6 +146,7 @@ impl DramBackend {
     /// The MAJ-based two-operand op: stage `a`, `b` and the control row,
     /// then TRA into `dst` — 4 AAPs total (12 cycles, 182.1 nJ).
     fn maj_op(&mut self, a: RowId, b: RowId, control: RowId, dst: RowId) -> Result<(), ArchError> {
+        self.geometry.check_rows(&[a, b, dst])?;
         self.aap_copy(a, self.t(0))?;
         self.aap_copy(b, self.t(1))?;
         self.aap_copy(control, self.t(2))?;
@@ -198,8 +196,11 @@ impl BulkBackend for DramBackend {
     }
 
     fn write_row(&mut self, row: RowId, data: &[u64]) -> Result<(), ArchError> {
+        // The store rejects a bad row or length before the command is
+        // charged.
+        self.store.write(row, data)?;
         self.issue(Command::WriteRow(row));
-        self.store.write(row, data)
+        Ok(())
     }
 
     fn install_row(&mut self, row: RowId, data: &[u64]) -> Result<(), ArchError> {
@@ -207,13 +208,15 @@ impl BulkBackend for DramBackend {
     }
 
     fn read_row(&mut self, row: RowId) -> Result<Vec<u64>, ArchError> {
+        let data = self.store.read(row)?;
         self.issue(Command::ReadRow(row));
-        self.store.read(row)
+        Ok(data)
     }
 
     fn not(&mut self, src: RowId, dst: RowId) -> Result<(), ArchError> {
         // AAP(src → DCC); AAP(DCC̄ → dst): the dual-contact cell exposes
         // the complemented plate on the second activation.
+        self.geometry.check_rows(&[src, dst])?;
         self.aap_copy(src, self.dcc())?;
         let dcc = self.dcc();
         self.issue(Command::Activate(dcc));
@@ -231,12 +234,14 @@ impl BulkBackend for DramBackend {
     }
 
     fn nand(&mut self, a: RowId, b: RowId, dst: RowId) -> Result<(), ArchError> {
+        self.geometry.check_rows(&[a, b, dst])?;
         let t3 = RowId(self.reserved_base() + 6);
         self.and(a, b, t3)?;
         self.not(t3, dst)
     }
 
     fn nor(&mut self, a: RowId, b: RowId, dst: RowId) -> Result<(), ArchError> {
+        self.geometry.check_rows(&[a, b, dst])?;
         let t3 = RowId(self.reserved_base() + 6);
         self.or(a, b, t3)?;
         self.not(t3, dst)
@@ -244,6 +249,7 @@ impl BulkBackend for DramBackend {
 
     fn xor(&mut self, a: RowId, b: RowId, dst: RowId) -> Result<(), ArchError> {
         // or(and(a, !b), and(!a, b)) — Ambit's composition.
+        self.geometry.check_rows(&[a, b, dst])?;
         let na = RowId(self.reserved_base() + 7);
         let nb = RowId(self.reserved_base() + 8);
         let x = RowId(self.reserved_base() + 9);
@@ -256,6 +262,7 @@ impl BulkBackend for DramBackend {
     }
 
     fn copy(&mut self, src: RowId, dst: RowId) -> Result<(), ArchError> {
+        self.geometry.check_rows(&[src, dst])?;
         self.aap_copy(src, dst)
     }
 
@@ -305,8 +312,8 @@ impl BulkBackend for DramBackend {
         let Some(stored) = self.store.row(row)? else {
             return Ok(false);
         };
-        let decayed: Vec<u64> = stored.iter().zip(mask).map(|(w, m)| w ^ m).collect();
-        self.store.write(row, &decayed)?;
+        let decayed = stored.iter().zip(mask).map(|(w, m)| w ^ m).collect();
+        self.store.put(row, decayed)?;
         Ok(true)
     }
 

@@ -5,25 +5,37 @@
 //! are lazily materialised (an 8 GB memory is addressable without 8 GB of
 //! host RAM). Addressing mistakes surface as [`ArchError`]s rather than
 //! panics, so backends can propagate them as typed failures.
+//!
+//! Rows are copy-on-write: each materialised row is a shared buffer, so a
+//! row copy (RowClone, AAP staging, FeRAM COPY) and a cloned store only
+//! bump reference counts, and a computed row moves into its destination.
+//! Every write into a row that shares its buffer gives the row a buffer of
+//! its own first, so no write is ever visible through another row.
 
 use crate::geometry::{MemoryGeometry, RowId};
 use crate::ArchError;
 use std::collections::HashMap;
-use std::sync::OnceLock;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+
+/// One row's words, shareable between rows, stores and threads.
+pub type SharedRow = Arc<[u64]>;
+
+/// The zero row of the row width used last, kept process-wide so the
+/// stores of one geometry (every backend a sweep or a service builds)
+/// share one instead of each filling its own. One slot bounds it to one
+/// row.
+static ZERO_ROW: Mutex<Option<SharedRow>> = Mutex::new(None);
 
 /// Lazily-materialised storage for full memory rows.
 #[derive(Debug, Clone, Default)]
 pub struct RowStore {
     geometry: MemoryGeometry,
-    rows: HashMap<u64, Vec<u64>>,
-    /// Reusable row buffer for the combine/map operations, so the
-    /// per-command hot path performs no heap allocation in steady state.
-    scratch: Vec<u64>,
+    rows: HashMap<u64, SharedRow>,
     /// One all-zero row standing in for every row never written, so
     /// each kernel operand resolves to a plain slice once per row
-    /// instead of an `Option` per word. Allocated on first use: most
-    /// stores are built and dropped without ever needing it.
-    zero: OnceLock<Vec<u64>>,
+    /// instead of an `Option` per word; a copy of a never-written row
+    /// and a zero fill share it. Taken from [`ZERO_ROW`] on first use.
+    zero: OnceLock<SharedRow>,
 }
 
 impl RowStore {
@@ -37,7 +49,6 @@ impl RowStore {
         Self {
             geometry,
             rows: HashMap::new(),
-            scratch: Vec::new(),
             zero: OnceLock::new(),
         }
     }
@@ -52,38 +63,40 @@ impl RowStore {
         self.rows.len() as u64
     }
 
-    fn check_in_range(&self, row: RowId) -> Result<(), ArchError> {
-        if self.geometry.contains(row) {
+    fn check_len(&self, len: usize) -> Result<(), ArchError> {
+        if len == self.geometry.row_words() {
             Ok(())
         } else {
-            Err(ArchError::RowOutOfRange {
-                row: row.0,
-                rows: self.geometry.total_rows(),
+            Err(ArchError::RowSizeMismatch {
+                expected: self.geometry.row_words(),
+                got: len,
             })
         }
     }
 
-    /// A row's words as a full-length slice: the shared zero row when it
-    /// was never materialised.
-    fn words(&self, row: RowId) -> Result<&[u64], ArchError> {
-        self.check_in_range(row)?;
-        Ok(match self.rows.get(&row.0) {
-            Some(r) => r,
-            None => self.zero.get_or_init(|| vec![0; self.geometry.row_words()]),
+    fn zero_row(&self) -> &SharedRow {
+        self.zero.get_or_init(|| {
+            let words = self.geometry.row_words();
+            // Every update leaves the slot holding a valid row or none.
+            let mut slot = ZERO_ROW.lock().unwrap_or_else(PoisonError::into_inner);
+            match &*slot {
+                Some(row) if row.len() == words => Arc::clone(row),
+                _ => Arc::clone(slot.insert(std::iter::repeat_n(0, words).collect())),
+            }
         })
     }
 
-    /// Computes a row into the reusable scratch buffer with `fill`, then
-    /// writes it to `dst`.
-    fn write_computed(
-        &mut self,
-        dst: RowId,
-        fill: impl FnOnce(&Self, &mut Vec<u64>) -> Result<(), ArchError>,
-    ) -> Result<(), ArchError> {
-        let mut out = std::mem::take(&mut self.scratch);
-        let result = fill(self, &mut out).and_then(|()| self.write(dst, &out));
-        self.scratch = out;
-        result
+    /// A row's buffer: the shared zero row when it was never
+    /// materialised.
+    fn buffer(&self, row: RowId) -> Result<&SharedRow, ArchError> {
+        self.geometry.check_rows(&[row])?;
+        Ok(self.rows.get(&row.0).unwrap_or_else(|| self.zero_row()))
+    }
+
+    /// A materialised row's buffer, if no other row or store shares it:
+    /// the only buffer a write may change in place.
+    fn own_buffer(&mut self, row: RowId) -> Option<&mut [u64]> {
+        self.rows.get_mut(&row.0).and_then(Arc::get_mut)
     }
 
     /// Reads a row (zeros if never written).
@@ -92,12 +105,7 @@ impl RowStore {
     ///
     /// [`ArchError::RowOutOfRange`] for rows outside the geometry.
     pub fn read(&self, row: RowId) -> Result<Vec<u64>, ArchError> {
-        self.check_in_range(row)?;
-        Ok(self
-            .rows
-            .get(&row.0)
-            .cloned()
-            .unwrap_or_else(|| vec![0; self.geometry.row_words()]))
+        self.buffer(row).map(|r| r.to_vec())
     }
 
     /// Borrows a row's words without copying; `None` if the row was
@@ -107,74 +115,62 @@ impl RowStore {
     ///
     /// [`ArchError::RowOutOfRange`] for rows outside the geometry.
     pub fn row(&self, row: RowId) -> Result<Option<&[u64]>, ArchError> {
-        self.check_in_range(row)?;
-        Ok(self.rows.get(&row.0).map(Vec::as_slice))
+        self.geometry.check_rows(&[row])?;
+        Ok(self.rows.get(&row.0).map(|r| &r[..]))
     }
 
-    /// Reads a row into a caller-owned buffer (cleared and refilled), so
-    /// repeated reads reuse one allocation.
+    /// Shares a row's buffer (the zero row if never written) without
+    /// copying it: the row-by-value form of [`RowStore::read`].
     ///
     /// # Errors
     ///
     /// [`ArchError::RowOutOfRange`] for rows outside the geometry.
-    pub fn read_into(&self, row: RowId, out: &mut Vec<u64>) -> Result<(), ArchError> {
-        self.check_in_range(row)?;
-        out.clear();
-        match self.rows.get(&row.0) {
-            Some(r) => out.extend_from_slice(r),
-            None => out.resize(self.geometry.row_words(), 0),
-        }
+    pub(crate) fn share(&self, row: RowId) -> Result<SharedRow, ArchError> {
+        self.buffer(row).map(Arc::clone)
+    }
+
+    /// Stores a whole row by value: `data` becomes the row's buffer
+    /// without a copy, shared with whoever else holds it.
+    ///
+    /// # Errors
+    ///
+    /// [`ArchError::RowOutOfRange`] for rows outside the geometry;
+    /// [`ArchError::RowSizeMismatch`] unless `data` is exactly one row.
+    pub(crate) fn put(&mut self, row: RowId, data: SharedRow) -> Result<(), ArchError> {
+        self.geometry.check_rows(&[row])?;
+        self.check_len(data.len())?;
+        self.rows.insert(row.0, data);
         Ok(())
     }
 
-    /// Writes a full row, reusing the row's existing buffer when it is
-    /// already materialised.
+    /// Writes a full row, in place when no other row shares its buffer;
+    /// otherwise the row gets a buffer of its own.
     ///
     /// # Errors
     ///
     /// [`ArchError::RowOutOfRange`] for rows outside the geometry;
     /// [`ArchError::RowSizeMismatch`] unless `data` is exactly one row.
     pub fn write(&mut self, row: RowId, data: &[u64]) -> Result<(), ArchError> {
-        self.check_in_range(row)?;
-        if data.len() != self.geometry.row_words() {
-            return Err(ArchError::RowSizeMismatch {
-                expected: self.geometry.row_words(),
-                got: data.len(),
-            });
-        }
-        match self.rows.entry(row.0) {
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                e.get_mut().copy_from_slice(data);
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(data.to_vec());
+        self.geometry.check_rows(&[row])?;
+        self.check_len(data.len())?;
+        match self.own_buffer(row) {
+            Some(buf) => buf.copy_from_slice(data),
+            None => {
+                self.rows.insert(row.0, Arc::from(data));
             }
         }
         Ok(())
     }
 
-    /// Copies one row onto another without an intermediate allocation in
-    /// steady state (the destination's existing buffer is reused).
+    /// Copies one row onto another by sharing the source's buffer (the
+    /// zero row if the source was never written): no words move.
     ///
     /// # Errors
     ///
     /// [`ArchError::RowOutOfRange`] for rows outside the geometry.
     pub fn copy_row(&mut self, src: RowId, dst: RowId) -> Result<(), ArchError> {
-        self.check_in_range(src)?;
-        self.check_in_range(dst)?;
-        let words = self.geometry.row_words();
-        if src.0 == dst.0 {
-            self.rows.entry(dst.0).or_insert_with(|| vec![0; words]);
-            return Ok(());
-        }
-        let mut buf = self.rows.remove(&dst.0).unwrap_or_default();
-        buf.clear();
-        match self.rows.get(&src.0) {
-            Some(s) => buf.extend_from_slice(s),
-            None => buf.resize(words, 0),
-        }
-        self.rows.insert(dst.0, buf);
-        Ok(())
+        let shared = self.share(src)?;
+        self.put(dst, shared)
     }
 
     /// `dst[i] = f(src[i])` across the whole row.
@@ -183,55 +179,11 @@ impl RowStore {
     ///
     /// As for [`RowStore::read`] / [`RowStore::write`].
     pub fn map(&mut self, src: RowId, dst: RowId, f: impl Fn(u64) -> u64) -> Result<(), ArchError> {
-        self.write_computed(dst, |s, out| {
-            s.combine3_into(src, src, src, out, |x, _, _| f(x))
-        })
+        self.combine3(src, src, src, dst, |x, _, _| f(x))
     }
 
-    /// `out[i] = f(a[i], b[i])` across the whole row, into a caller-owned
-    /// buffer (cleared and refilled) — a pure read, no store mutation.
-    ///
-    /// # Errors
-    ///
-    /// As for [`RowStore::combine3_into`].
-    pub fn combine2_into(
-        &self,
-        a: RowId,
-        b: RowId,
-        out: &mut Vec<u64>,
-        f: impl Fn(u64, u64) -> u64,
-    ) -> Result<(), ArchError> {
-        self.combine3_into(a, b, b, out, |x, y, _| f(x, y))
-    }
-
-    /// `out[i] = f(a[i], b[i], c[i])` across the whole row, into a
-    /// caller-owned buffer (cleared and refilled) — the read side of
-    /// TRA/TBA without touching the store.
-    ///
-    /// This is the store's one per-word loop: every operand resolves to a
-    /// full-length slice up front and the words stream through a single
-    /// zipped pass, which the compiler vectorises. `map` and
-    /// `combine2_into` pass repeated operands, whose unused loads
-    /// optimise away.
-    ///
-    /// # Errors
-    ///
-    /// [`ArchError::RowOutOfRange`] for rows outside the geometry.
-    pub fn combine3_into(
-        &self,
-        a: RowId,
-        b: RowId,
-        c: RowId,
-        out: &mut Vec<u64>,
-        f: impl Fn(u64, u64, u64) -> u64,
-    ) -> Result<(), ArchError> {
-        let (ra, rb, rc) = (self.words(a)?, self.words(b)?, self.words(c)?);
-        out.clear();
-        out.extend(ra.iter().zip(rb).zip(rc).map(|((&x, &y), &z)| f(x, y, z)));
-        Ok(())
-    }
-
-    /// `dst[i] = f(a[i], b[i], c[i])` across the whole row (TRA/TBA).
+    /// `dst[i] = f(a[i], b[i], c[i])` across the whole row (TRA/TBA); the
+    /// computed row moves into `dst`.
     ///
     /// # Errors
     ///
@@ -244,21 +196,57 @@ impl RowStore {
         dst: RowId,
         f: impl Fn(u64, u64, u64) -> u64,
     ) -> Result<(), ArchError> {
-        self.write_computed(dst, |s, out| s.combine3_into(a, b, c, out, f))
+        let row = self.compute(a, b, c, f)?;
+        self.put(dst, row)
     }
 
-    /// Fills a row with a constant word, in place when materialised.
+    /// `f(a[i], b[i], c[i])` across the whole row as a new row, written
+    /// straight into its one allocation and not stored: the caller
+    /// decides where it lands. The read side of TRA/TBA.
+    ///
+    /// This is the store's one per-word loop: every operand resolves to a
+    /// full-length slice up front and the words stream through a single
+    /// zipped pass, which the compiler vectorises. Callers with fewer
+    /// operands repeat one, whose unused loads optimise away.
+    ///
+    /// # Errors
+    ///
+    /// [`ArchError::RowOutOfRange`] for rows outside the geometry.
+    pub fn compute(
+        &self,
+        a: RowId,
+        b: RowId,
+        c: RowId,
+        f: impl Fn(u64, u64, u64) -> u64,
+    ) -> Result<SharedRow, ArchError> {
+        let (ra, rb, rc) = (self.buffer(a)?, self.buffer(b)?, self.buffer(c)?);
+        Ok(ra
+            .iter()
+            .zip(rb.iter())
+            .zip(rc.iter())
+            .map(|((&x, &y), &z)| f(x, y, z))
+            .collect())
+    }
+
+    /// Fills a row with a constant word: in place when no other row
+    /// shares its buffer; a zero fill of any other row shares the zero
+    /// row.
     ///
     /// # Errors
     ///
     /// As for [`RowStore::write`].
     pub fn fill(&mut self, row: RowId, word: u64) -> Result<(), ArchError> {
-        self.check_in_range(row)?;
-        let words = self.geometry.row_words();
-        self.rows
-            .entry(row.0)
-            .and_modify(|r| r.fill(word))
-            .or_insert_with(|| vec![word; words]);
+        self.geometry.check_rows(&[row])?;
+        if let Some(buf) = self.own_buffer(row) {
+            buf.fill(word);
+            return Ok(());
+        }
+        let fresh = if word == 0 {
+            Arc::clone(self.zero_row())
+        } else {
+            std::iter::repeat_n(word, self.geometry.row_words()).collect()
+        };
+        self.rows.insert(row.0, fresh);
         Ok(())
     }
 
@@ -289,7 +277,7 @@ impl RowStore {
             if data.len() != self.geometry.row_words() {
                 return None;
             }
-            rows.insert(key, data);
+            rows.insert(key, Arc::from(data));
         }
         self.rows = rows;
         *pos = probe;
@@ -336,9 +324,7 @@ mod tests {
         let mut s = store();
         s.fill(RowId(0), 0b1100).unwrap();
         s.fill(RowId(1), 0b1010).unwrap();
-        let mut out = Vec::new();
-        s.combine2_into(RowId(0), RowId(1), &mut out, |a, b| a & b)
-            .unwrap();
+        let out = s.compute(RowId(0), RowId(1), RowId(1), |a, b, _| a & b).unwrap();
         assert_eq!(out[0], 0b1000);
         s.write(RowId(2), &out).unwrap();
         s.map(RowId(2), RowId(3), |x| !x).unwrap();
@@ -380,11 +366,12 @@ mod tests {
         s.write(RowId(3), &data).unwrap();
         assert_eq!(s.row(RowId(3)).unwrap().unwrap(), &data[..]);
         assert!(s.row(RowId(4)).unwrap().is_none(), "unmaterialised row");
-        let mut buf = vec![0xFFu64; 5]; // wrong size on purpose
-        s.read_into(RowId(3), &mut buf).unwrap();
-        assert_eq!(buf, data);
-        s.read_into(RowId(4), &mut buf).unwrap();
-        assert_eq!(buf, vec![0u64; s.geometry().row_words()]);
+        assert_eq!(s.read(RowId(3)).unwrap(), data);
+        assert_eq!(&*s.share(RowId(3)).unwrap(), &data[..]);
+        let zeros = vec![0u64; s.geometry().row_words()];
+        assert_eq!(s.read(RowId(4)).unwrap(), zeros);
+        assert_eq!(&*s.share(RowId(4)).unwrap(), &zeros[..]);
+        assert_eq!(s.touched_rows(), 1, "sharing an unwritten row reads it");
     }
 
     #[test]

@@ -37,13 +37,14 @@
 
 use crate::command::Command;
 use crate::energy::{EnergyModel, LatencyModel};
-use crate::engine::{majority_words, minority_words, RowStore};
+use crate::engine::{majority_words, minority_words, RowStore, SharedRow};
 use crate::fault::{DegradationPolicy, FaultInjector, FaultSpec, ReliabilityStats};
 use crate::geometry::{MemoryGeometry, RowId};
 use crate::stats::ExecStats;
 use crate::wear::WearTracker;
 use crate::{ArchError, BulkBackend};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Rows reserved at the top of the address space for scratch and spares.
 const RESERVED_ROWS: u64 = 16;
@@ -85,9 +86,6 @@ pub struct FeramBackend {
     /// Free physical spare rows (popped from the back).
     spares: Vec<u64>,
     command_log: Option<Vec<Command>>,
-    /// Reusable row buffer for op results, so the fault-free op path
-    /// performs no per-op heap allocation in steady state.
-    row_buf: Vec<u64>,
 }
 
 impl FeramBackend {
@@ -119,7 +117,6 @@ impl FeramBackend {
             remap: HashMap::new(),
             spares,
             command_log: None,
-            row_buf: Vec::new(),
         }
     }
 
@@ -232,17 +229,6 @@ impl FeramBackend {
         RowId(physical_row * N_CAPS + slot)
     }
 
-    fn check_row(&self, row: RowId) -> Result<(), ArchError> {
-        if self.geometry.contains(row) {
-            Ok(())
-        } else {
-            Err(ArchError::RowOutOfRange {
-                row: row.0,
-                rows: self.geometry.total_rows(),
-            })
-        }
-    }
-
     /// Has this physical row's cell population worn out?
     fn is_dead(&self, physical_row: u64) -> bool {
         match &self.faults {
@@ -337,9 +323,10 @@ impl FeramBackend {
     /// model (write flips, dead cells) and the degradation policy
     /// (verify-after-write, bounded retry, retirement). The op-level
     /// command cost is charged by the caller; only mitigation overhead
-    /// (verify reads, retry writes) is charged here.
-    fn commit_data(&mut self, logical: RowId, intended: &[u64]) -> Result<(), ArchError> {
-        self.check_row(logical)?;
+    /// (verify reads, retry writes) is charged here. The row comes by
+    /// value: a fault-free write stores `intended` itself, no words move.
+    fn commit_data(&mut self, logical: RowId, intended: SharedRow) -> Result<(), ArchError> {
+        self.geometry.check_rows(&[logical])?;
         self.maybe_rotate_scratch(logical);
         let mut attempts: u32 = 0;
         loop {
@@ -347,17 +334,14 @@ impl FeramBackend {
             if self.is_dead(physical) {
                 self.reliability.note_dead_row_write();
                 // The cells no longer switch: stored data stays stale.
-            } else if self.faults.is_some() {
+            } else if let Some(inj) = self.faults.as_mut() {
                 let mut written = intended.to_vec();
-                if let Some(inj) = self.faults.as_mut() {
-                    let flips = inj.corrupt_write(&mut written);
-                    self.reliability.note_write_flips(flips);
-                }
-                self.planes.write(self.plane_of(physical, 0), &written)?;
+                let flips = inj.corrupt_write(&mut written);
+                self.reliability.note_write_flips(flips);
+                self.planes.put(self.plane_of(physical, 0), Arc::from(written))?;
             } else {
-                // Fault-free: the intended data lands verbatim, straight
-                // into the plane's existing buffer.
-                self.planes.write(self.plane_of(physical, 0), intended)?;
+                // Fault-free: the intended data lands verbatim.
+                self.planes.put(self.plane_of(physical, 0), Arc::clone(&intended))?;
             }
             self.note_write(logical, physical);
             attempts += 1;
@@ -367,7 +351,7 @@ impl FeramBackend {
             // Verify: read the row back and compare to the write buffer.
             self.issue(Command::ReadRow(logical));
             let verified = match self.planes.row(self.plane_of(physical, 0))? {
-                Some(stored) => stored == intended,
+                Some(stored) => *stored == *intended,
                 None => intended.iter().all(|&w| w == 0),
             };
             if verified {
@@ -446,26 +430,16 @@ impl FeramBackend {
         }
     }
 
-    /// ACP move of a source row's slot-0 data into a caller buffer,
-    /// optionally complementing. 3 cycles. The caller decides whether
-    /// the landing site is a staging slot (direct write) or a data row
-    /// (committed through the degradation path).
-    fn acp_read_into(
-        &mut self,
-        src: RowId,
-        invert: bool,
-        out: &mut Vec<u64>,
-    ) -> Result<(), ArchError> {
-        self.check_row(src)?;
+    /// ACP move of a source row's slot-0 data, optionally
+    /// complementing. 3 cycles. A plain move shares the source plane's
+    /// buffer; the caller commits the row through the degradation path.
+    fn acp_read(&mut self, src: RowId, invert: bool) -> Result<SharedRow, ArchError> {
         self.note_read(src);
         let p_src = self.plane_of(self.resolve(src), 0);
-        self.planes.read_into(p_src, out)?;
-        if invert {
-            for w in out.iter_mut() {
-                *w = !*w;
-            }
+        if !invert {
+            return self.planes.share(p_src);
         }
-        Ok(())
+        self.planes.compute(p_src, p_src, p_src, |x, _, _| !x)
     }
 
     /// The TBA-based two-operand op (MINORITY with a control plane):
@@ -482,7 +456,7 @@ impl FeramBackend {
         complement: bool,
         dst: RowId,
     ) -> Result<(), ArchError> {
-        self.check_row(dst)?;
+        self.geometry.check_rows(&[a, b, dst])?;
         let phys_a = self.resolve(a);
         // 1. Co-locate operand B into slot 1 of group A; the same
         //    multi-cap write cycle drives the control bits into slot 2.
@@ -493,7 +467,6 @@ impl FeramBackend {
             complement: true,
         });
         self.issue(Command::Precharge);
-        self.check_row(b)?;
         self.note_read(b);
         let pb0 = self.plane_of(self.resolve(b), 0);
         self.note_write(a, phys_a);
@@ -514,29 +487,22 @@ impl FeramBackend {
         // and cost accounting above are identical either way.
         // The polarity is picked once per row, not once per word, so the
         // kernel stays a branch-free pass (MAJORITY = ¬MINORITY).
-        let mut truth = std::mem::take(&mut self.row_buf);
-        let result = (|| {
-            let pa0 = self.plane_of(phys_a, 0);
-            if complement {
-                self.planes.combine2_into(pa0, pb0, &mut truth, |x, y| {
-                    majority_words(x, y, control_word)
-                })?;
-            } else {
-                self.planes.combine2_into(pa0, pb0, &mut truth, |x, y| {
-                    minority_words(x, y, control_word)
-                })?;
-            }
-            if self.faults.is_some() {
-                let sensed = self.sense(a, &truth);
-                self.commit_data(dst, &sensed)?;
-                self.oracle_check(dst, &truth)
-            } else {
-                // Fault-free sense is the truth itself: commit directly.
-                self.commit_data(dst, &truth)
-            }
-        })();
-        self.row_buf = truth;
-        result
+        let pa0 = self.plane_of(phys_a, 0);
+        let truth = if complement {
+            self.planes
+                .compute(pa0, pb0, pb0, |x, y, _| majority_words(x, y, control_word))?
+        } else {
+            self.planes
+                .compute(pa0, pb0, pb0, |x, y, _| minority_words(x, y, control_word))?
+        };
+        if self.faults.is_some() {
+            let sensed = self.sense(a, &truth);
+            self.commit_data(dst, Arc::from(sensed))?;
+            self.oracle_check(dst, &truth)
+        } else {
+            // Fault-free sense is the truth itself: it moves into `dst`.
+            self.commit_data(dst, truth)
+        }
     }
 }
 
@@ -546,7 +512,7 @@ impl BulkBackend for FeramBackend {
     }
 
     fn write_row(&mut self, row: RowId, data: &[u64]) -> Result<(), ArchError> {
-        self.check_row(row)?;
+        self.geometry.check_rows(&[row])?;
         if data.len() != self.geometry.row_words() {
             return Err(ArchError::RowSizeMismatch {
                 expected: self.geometry.row_words(),
@@ -554,12 +520,12 @@ impl BulkBackend for FeramBackend {
             });
         }
         self.issue(Command::WriteRow(row));
-        self.commit_data(row, data)?;
+        self.commit_data(row, Arc::from(data))?;
         self.oracle_check(row, data)
     }
 
     fn install_row(&mut self, row: RowId, data: &[u64]) -> Result<(), ArchError> {
-        self.check_row(row)?;
+        self.geometry.check_rows(&[row])?;
         let physical = self.resolve(row);
         let p = self.plane_of(physical, 0);
         self.planes.write(p, data)?;
@@ -568,7 +534,7 @@ impl BulkBackend for FeramBackend {
     }
 
     fn read_row(&mut self, row: RowId) -> Result<Vec<u64>, ArchError> {
-        self.check_row(row)?;
+        self.geometry.check_rows(&[row])?;
         self.issue(Command::ReadRow(row));
         self.note_read(row);
         let stored = self.stored(self.resolve(row))?;
@@ -605,7 +571,7 @@ impl BulkBackend for FeramBackend {
 
     fn not(&mut self, src: RowId, dst: RowId) -> Result<(), ArchError> {
         // The QNRO sense *is* the inversion: a single ACP, no DCC rows.
-        self.check_row(dst)?;
+        self.geometry.check_rows(&[src, dst])?;
         let pd = self.plane_of(self.resolve(dst), 0);
         self.issue(Command::Activate(src));
         self.issue(Command::Copy {
@@ -613,14 +579,9 @@ impl BulkBackend for FeramBackend {
             complement: false,
         });
         self.issue(Command::Precharge);
-        let mut truth = std::mem::take(&mut self.row_buf);
-        let result = (|| {
-            self.acp_read_into(src, true, &mut truth)?;
-            self.commit_data(dst, &truth)?;
-            self.oracle_check(dst, &truth)
-        })();
-        self.row_buf = truth;
-        result
+        let truth = self.acp_read(src, true)?;
+        self.commit_data(dst, Arc::clone(&truth))?;
+        self.oracle_check(dst, &truth)
     }
 
     fn and(&mut self, a: RowId, b: RowId, dst: RowId) -> Result<(), ArchError> {
@@ -642,7 +603,7 @@ impl BulkBackend for FeramBackend {
     }
 
     fn copy(&mut self, src: RowId, dst: RowId) -> Result<(), ArchError> {
-        self.check_row(dst)?;
+        self.geometry.check_rows(&[src, dst])?;
         let pd = self.plane_of(self.resolve(dst), 0);
         self.issue(Command::Activate(src));
         self.issue(Command::Copy {
@@ -650,14 +611,9 @@ impl BulkBackend for FeramBackend {
             complement: true,
         });
         self.issue(Command::Precharge);
-        let mut truth = std::mem::take(&mut self.row_buf);
-        let result = (|| {
-            self.acp_read_into(src, false, &mut truth)?;
-            self.commit_data(dst, &truth)?;
-            self.oracle_check(dst, &truth)
-        })();
-        self.row_buf = truth;
-        result
+        let truth = self.acp_read(src, false)?;
+        self.commit_data(dst, Arc::clone(&truth))?;
+        self.oracle_check(dst, &truth)
     }
 
     fn scratch_rows(&self, count: usize) -> Vec<RowId> {
@@ -685,13 +641,13 @@ impl BulkBackend for FeramBackend {
     }
 
     fn peek_row(&self, row: RowId) -> Result<Option<Vec<u64>>, ArchError> {
-        self.check_row(row)?;
+        self.geometry.check_rows(&[row])?;
         let physical = self.resolve(row);
         Ok(self.planes.row(self.plane_of(physical, 0))?.map(<[u64]>::to_vec))
     }
 
     fn decay_row(&mut self, row: RowId, mask: &[u64]) -> Result<bool, ArchError> {
-        self.check_row(row)?;
+        self.geometry.check_rows(&[row])?;
         if mask.len() != self.geometry.row_words() {
             return Err(ArchError::RowSizeMismatch {
                 expected: self.geometry.row_words(),
@@ -705,8 +661,8 @@ impl BulkBackend for FeramBackend {
         let Some(stored) = self.planes.row(plane)? else {
             return Ok(false);
         };
-        let decayed: Vec<u64> = stored.iter().zip(mask).map(|(w, m)| w ^ m).collect();
-        self.planes.write(plane, &decayed)?;
+        let decayed = stored.iter().zip(mask).map(|(w, m)| w ^ m).collect();
+        self.planes.put(plane, decayed)?;
         Ok(true)
     }
 

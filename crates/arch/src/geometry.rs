@@ -1,5 +1,6 @@
 //! Memory geometry and row addressing.
 
+use crate::ArchError;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -105,6 +106,23 @@ impl MemoryGeometry {
     /// Is `row` a valid address?
     pub fn contains(&self, row: RowId) -> bool {
         row.0 < self.total_rows()
+    }
+
+    /// Checks that every row is a valid address: the first one that is
+    /// not is a [`ArchError::RowOutOfRange`].
+    ///
+    /// # Errors
+    ///
+    /// [`ArchError::RowOutOfRange`] for the first row outside the
+    /// geometry.
+    pub fn check_rows(&self, rows: &[RowId]) -> Result<(), ArchError> {
+        match rows.iter().find(|&&r| !self.contains(r)) {
+            Some(r) => Err(ArchError::RowOutOfRange {
+                row: r.0,
+                rows: self.total_rows(),
+            }),
+            None => Ok(()),
+        }
     }
 
     /// Rows needed to hold `bytes` of data.

@@ -174,6 +174,7 @@ pub trait BulkBackend {
     /// As for [`BulkBackend::write_row`].
     fn xor(&mut self, a: RowId, b: RowId, dst: RowId) -> Result<(), ArchError> {
         // Default composition: xor = (a NAND (a NAND b)) NAND (b NAND (a NAND b)).
+        self.geometry().check_rows(&[a, b, dst])?;
         let scratch = self.scratch_rows(3);
         let (nab, x, y) = (scratch[0], scratch[1], scratch[2]);
         self.nand(a, b, nab)?;
@@ -188,6 +189,7 @@ pub trait BulkBackend {
     ///
     /// As for [`BulkBackend::write_row`].
     fn xnor(&mut self, a: RowId, b: RowId, dst: RowId) -> Result<(), ArchError> {
+        self.geometry().check_rows(&[a, b, dst])?;
         let scratch = self.scratch_rows(4);
         let t = scratch[3];
         self.xor(a, b, t)?;

@@ -2,7 +2,9 @@
 //! identical row contents for arbitrary random programs — they differ in
 //! cost, never in semantics.
 
-use felim_arch::{BulkBackend, DramBackend, FeramBackend, MemoryGeometry, RowId};
+use felim_arch::{
+    ArchError, BulkBackend, Command, DramBackend, FeramBackend, MemoryGeometry, RowId,
+};
 use proptest::prelude::*;
 
 /// One random program step over a small row set.
@@ -133,4 +135,66 @@ proptest! {
         prop_assert!(dram.stats().total_cycles() >= feram.stats().total_cycles());
         prop_assert!(dram.stats().total_energy_nj() >= feram.stats().total_energy_nj() - 1e-9);
     }
+}
+
+/// Runs every op once with a row outside the geometry in each operand
+/// position, plus a short write; returns each call's name and result.
+fn rejected_calls(b: &mut dyn BulkBackend) -> Vec<(String, Result<(), ArchError>)> {
+    let (ok, far) = (RowId(0), RowId(b.geometry().total_rows()));
+    let mut calls = Vec::new();
+    for (x, y, d) in [(far, ok, ok), (ok, far, ok), (ok, ok, far)] {
+        let at = format!("({}, {}, {})", x.0, y.0, d.0);
+        calls.push((format!("and{at}"), b.and(x, y, d)));
+        calls.push((format!("or{at}"), b.or(x, y, d)));
+        calls.push((format!("nand{at}"), b.nand(x, y, d)));
+        calls.push((format!("nor{at}"), b.nor(x, y, d)));
+        calls.push((format!("xor{at}"), b.xor(x, y, d)));
+        calls.push((format!("xnor{at}"), b.xnor(x, y, d)));
+    }
+    for (src, d) in [(far, ok), (ok, far)] {
+        let at = format!("({}, {})", src.0, d.0);
+        calls.push((format!("not{at}"), b.not(src, d)));
+        calls.push((format!("copy{at}"), b.copy(src, d)));
+    }
+    let words = b.geometry().row_words();
+    calls.push(("short write".into(), b.write_row(ok, &[1, 2, 3])));
+    calls.push(("far write".into(), b.write_row(far, &vec![0; words])));
+    calls.push(("far read".into(), b.read_row(far).map(drop)));
+    calls
+}
+
+/// A rejected op fails before its first command: no cycles, no energy,
+/// no logged command and no change to the backend's state (rows,
+/// disturb counters, wear).
+fn assert_rejections_charge_nothing<B: BulkBackend>(mut b: B, log: fn(&B) -> &[Command]) {
+    let words = b.geometry().row_words();
+    b.install_row(RowId(0), &vec![0xA5; words]).unwrap();
+    let (stats, state) = (b.stats().clone(), b.snapshot_state());
+    for (call, result) in rejected_calls(&mut b) {
+        assert!(result.is_err(), "{}: {call} succeeded", b.tech_name());
+    }
+    let tech = b.tech_name();
+    assert_eq!(b.stats(), &stats, "{tech}: rejected ops were charged");
+    assert_eq!(
+        log(&b),
+        &[] as &[Command],
+        "{tech}: rejected ops issued commands"
+    );
+    assert_eq!(
+        b.snapshot_state(),
+        state,
+        "{tech}: rejected ops changed state"
+    );
+}
+
+#[test]
+fn rejected_ops_charge_nothing_on_either_backend() {
+    assert_rejections_charge_nothing(
+        DramBackend::tiny().with_command_log(),
+        DramBackend::command_log,
+    );
+    assert_rejections_charge_nothing(
+        FeramBackend::tiny().with_command_log(),
+        FeramBackend::command_log,
+    );
 }
